@@ -19,6 +19,7 @@
 #include "cpusim/core_model.hpp"
 #include "cpusim/runtime.hpp"
 #include "dramsim/dram.hpp"
+#include "fig_common.hpp"
 #include "isa/vector_fusion.hpp"
 #include "netsim/dimemas.hpp"
 #include "trace/kernel.hpp"
@@ -140,7 +141,8 @@ void ablate_topology() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  musa::bench::expect_no_arguments(argc, argv);
   std::printf("MUSA-DSE model ablations\n\n");
   ablate_prefetcher();
   ablate_fusion_window();

@@ -11,9 +11,6 @@ endfunction()
 musa_add_bench(run_dse)
 musa_add_bench(dse_lint)
 musa_add_bench(sweep_bench)
-# The sweep drivers speak to the elastic controller/worker library too.
-target_link_libraries(run_dse PRIVATE musa_sweep)
-target_link_libraries(sweep_bench PRIVATE musa_sweep)
 # The DSE server daemon and its load generator (DESIGN.md §7i).
 musa_add_bench(dse_serve)
 target_link_libraries(dse_serve PRIVATE musa_serve)

@@ -168,7 +168,8 @@ int lint_journal(const std::string& path, LintStats& stats) {
   if (lr.dropped > 0)
     stats.merge({{"journal.corrupt", path,
                   std::to_string(lr.dropped) +
-                      " record(s) failed their checksum (crash damage)"}},
+                      " record(s) dropped: bad checksum or width (crash "
+                      "damage, or a retired record type)"}},
                 path.c_str());
   // Quarantine (FAIL) rows: informational, not violations by themselves —
   // containment working as designed — but an unknown error class means a
@@ -188,27 +189,6 @@ int lint_journal(const std::string& path, LintStats& stats) {
                   key.c_str(), cls.c_str(),
                   fail.stage.empty() ? "unknown" : fail.stage.c_str(),
                   fail.attempts, fail.message.c_str());
-  }
-  // Lease records (elastic controller audit trail, DESIGN.md §7h): the
-  // events themselves are informational, but an event name outside the
-  // known vocabulary means writer/reader version skew — the same policy
-  // as quarantine error classes, and the same exit-1 consequence.
-  if (!lr.leases.empty())
-    std::printf("dse_lint: %s: %zu lease record(s)\n", path.c_str(),
-                lr.leases.size());
-  for (const auto& lease : lr.leases) {
-    ++stats.subjects;
-    if (!known_lease_event(lease.event))
-      stats.merge({{"journal.lease-event", lease.event,
-                    "unknown lease event \"" + lease.event +
-                        "\" (writer/reader version skew)"}},
-                  path.c_str());
-    if (!stats.quiet)
-      std::printf("  LEASE %-10s chunk=%-3d worker=%-3d [%llu,%llu)%s%s\n",
-                  lease.event.c_str(), lease.chunk, lease.worker,
-                  static_cast<unsigned long long>(lease.begin),
-                  static_cast<unsigned long long>(lease.end),
-                  lease.detail.empty() ? "" : " ", lease.detail.c_str());
   }
   for (const auto& [key, row] : lr.entries)
     lint_row(row, path + "[" + key + "]", stats);

@@ -10,7 +10,7 @@
 //
 // Per-query latency (send → done reply) is measured client-side with
 // exact quantiles and merged into BENCH_sweep.json as the "serve" entry,
-// next to the memo/elastic numbers sweep_bench maintains.
+// next to the memo numbers sweep_bench maintains.
 //
 // Usage:
 //   dse_loadtest (--socket PATH | --tcp PORT) [--clients N] [--queries N]

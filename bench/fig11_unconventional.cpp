@@ -13,8 +13,10 @@
 #include "common/table.hpp"
 #include "core/config_space.hpp"
 #include "core/pipeline.hpp"
+#include "fig_common.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+  musa::bench::expect_no_arguments(argc, argv);
   using namespace musa;
   core::Pipeline pipeline;
 

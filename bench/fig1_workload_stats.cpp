@@ -6,6 +6,7 @@
 #include "apps/apps.hpp"
 #include "common/table.hpp"
 #include "core/pipeline.hpp"
+#include "fig_common.hpp"
 
 namespace {
 // Paper Fig. 1 values: {L1, L2, L3 MPKI, GMemReq/s} per app, 32c then 64c.
@@ -23,7 +24,8 @@ constexpr PaperRow kPaper[] = {
 };
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  musa::bench::expect_no_arguments(argc, argv);
   using namespace musa;
   core::Pipeline pipeline;
 

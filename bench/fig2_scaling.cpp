@@ -6,8 +6,10 @@
 #include "apps/apps.hpp"
 #include "common/table.hpp"
 #include "core/pipeline.hpp"
+#include "fig_common.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+  musa::bench::expect_no_arguments(argc, argv);
   using namespace musa;
   core::Pipeline pipeline;
   constexpr int kRanks = 256;

@@ -8,9 +8,11 @@
 #include "analysis/timeline.hpp"
 #include "apps/apps.hpp"
 #include "core/pipeline.hpp"
+#include "fig_common.hpp"
 #include "verify/invariants.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+  musa::bench::expect_no_arguments(argc, argv);
   using namespace musa;
   core::Pipeline pipeline;
 

@@ -8,7 +8,8 @@
 
 #include "fig_common.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+  musa::bench::expect_no_arguments(argc, argv);
   using namespace musa;
   core::Pipeline pipeline;
   core::DseEngine dse(pipeline, bench::dse_cache_path());

@@ -1,6 +1,6 @@
-// Shared plumbing for the figure-reproduction benches: DSE cache location
-// and the three-panel (speedup / power split / energy) printer used by
-// Figs 5–9, which all sweep one architectural dimension.
+// Shared plumbing for the figure-reproduction benches: argument check, DSE
+// cache location and the three-panel (speedup / power split / energy)
+// printer used by Figs 5–9, which all sweep one architectural dimension.
 #pragma once
 
 #include <cstdio>
@@ -14,6 +14,15 @@
 #include "core/pipeline.hpp"
 
 namespace musa::bench {
+
+/// Figure and report binaries take no arguments: refuse any with a
+/// one-line usage and exit 2, before a cache miss can start a full sweep
+/// that writes dse_cache.csv into the working directory.
+inline void expect_no_arguments(int argc, char** argv) {
+  if (argc <= 1) return;
+  std::fprintf(stderr, "usage: %s (takes no arguments)\n", argv[0]);
+  std::exit(2);
+}
 
 /// DSE result cache shared by all figure benches (override with
 /// MUSA_DSE_CACHE; the sweep runs once and is reused afterwards).

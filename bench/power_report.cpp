@@ -7,9 +7,11 @@
 #include "apps/apps.hpp"
 #include "common/table.hpp"
 #include "core/pipeline.hpp"
+#include "fig_common.hpp"
 #include "powersim/power.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+  musa::bench::expect_no_arguments(argc, argv);
   using namespace musa;
 
   std::printf(

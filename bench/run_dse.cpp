@@ -3,7 +3,8 @@
 //
 // The sweep is crash-safe: every completed point is fsync'd to an
 // append-only journal next to the cache, so a killed run resumes exactly
-// where it stopped. It is also shardable across processes or machines:
+// where it stopped. Points run on MUSA_THREADS threads in this process;
+// to spread one sweep over several processes or machines, shard it:
 //
 //   run_dse --shard 0/2 &        # each shard owns every 2nd point
 //   run_dse --shard 1/2 &        # (run anywhere sharing the cache dir)
@@ -25,26 +26,13 @@
 // (default `<cache>.metrics.json` when tracing) writes the flat metric
 // snapshot, and a one-screen summary table prints at exit.
 //
-// Elastic sweeps (DESIGN.md §7h): `--workers N` replaces the manual
-// shard-and-merge recipe with a controller that forks N worker processes,
-// leases them bounded point chunks, and revokes/re-leases on death, hang,
-// or straggle. Chunks commit only on durable journal coverage, so kill -9
-// of any worker at any time still converges to the byte-identical cache.
-//
-// Usage: run_dse [--force] [--shard i/N] [--workers N] [--lease-points K]
-//                [--heartbeat-ms MS] [--straggler-factor F] [--no-verify]
-//                [--no-memo] [--bench] [--strict] [--retry-failed]
-//                [--timeout S] [--inject SPEC] [--trace-out PATH]
-//                [--metrics-out PATH] [--help]
+// Usage: run_dse [--force] [--shard i/N] [--no-verify] [--no-memo]
+//                [--bench] [--strict] [--retry-failed] [--timeout S]
+//                [--inject SPEC] [--trace-out PATH] [--metrics-out PATH]
+//                [--help]
 //   --force        discard the cache and all journals, then sweep fresh
-//   --shard i/N    compute only points with index % N == i (0 <= i < N)
-//   --workers N    elastic sweep with N forked worker processes; excludes
-//                  --shard and --strict, needs a cache path. N=1 runs the
-//                  plain in-process sweep
-//   --lease-points K  points per leased chunk (default 8)
-//   --heartbeat-ms MS worker heartbeat interval (default 250)
-//   --straggler-factor F  revoke leases older than F x the median
-//                  committed-chunk time (default 4)
+//   --shard i/N    compute only points with index % N == i (0 <= i < N);
+//                  needs a cache path (MUSA_DSE_CACHE) to merge into
 //   --no-verify    skip config lint and result-invariant enforcement
 //                  (src/verify); for performance experiments only —
 //                  `dse_lint` can re-check the cache afterwards
@@ -88,28 +76,20 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "sweep/controller.hpp"
 #include "verify/faultpoint.hpp"
 
 namespace {
 
 constexpr const char* kUsage =
-    "usage: run_dse [--force] [--shard i/N] [--workers N] [--lease-points K]\n"
-    "               [--heartbeat-ms MS] [--straggler-factor F] [--no-verify]\n"
-    "               [--no-memo] [--bench] [--strict] [--retry-failed]\n"
-    "               [--timeout S] [--inject SPEC] [--trace-out PATH]\n"
-    "               [--metrics-out PATH] [--help]\n"
+    "usage: run_dse [--force] [--shard i/N] [--no-verify] [--no-memo]\n"
+    "               [--bench] [--strict] [--retry-failed] [--timeout S]\n"
+    "               [--inject SPEC] [--trace-out PATH] [--metrics-out PATH]\n"
+    "               [--help]\n"
     "  --force         discard the cache and all journals, sweep fresh\n"
-    "  --shard i/N     compute only points with index %% N == i\n"
-    "  --workers N     elastic sweep: fork N worker processes, lease them\n"
-    "                  bounded point chunks, revoke + re-lease on death,\n"
-    "                  hang, or straggle (DESIGN.md §7h). Excludes --shard\n"
-    "                  and --strict; needs a cache path. N=1 runs the plain\n"
-    "                  in-process sweep\n"
-    "  --lease-points K   points per leased chunk (default 8)\n"
-    "  --heartbeat-ms MS  worker heartbeat interval (default 250)\n"
-    "  --straggler-factor F  revoke leases older than F x the median\n"
-    "                  committed-chunk time (default 4)\n"
+    "  --shard i/N     compute only points with index % N == i; run each\n"
+    "                  shard anywhere sharing the cache directory, then a\n"
+    "                  plain run_dse merges the shard journals. Needs\n"
+    "                  MUSA_DSE_CACHE\n"
     "  --no-verify     skip config lint and result-invariant enforcement\n"
     "  --no-memo       disable the shared cross-point stage memo\n"
     "  --bench         sweep the fixed 24-point bench space\n"
@@ -164,26 +144,6 @@ bool parse_shard(const char* spec, musa::core::SweepOptions* opts) {
   opts->shard_index = static_cast<int>(i);
   opts->shard_count = static_cast<int>(n);
   return true;
-}
-
-void print_elastic(const musa::sweep::ElasticReport& er) {
-  std::printf("elastic phase: %llu point(s) in %d chunk(s), %llu key(s) "
-              "resolved in %s\n",
-              static_cast<unsigned long long>(er.points), er.chunks,
-              static_cast<unsigned long long>(er.resolved),
-              musa::format_duration(er.wall_s).c_str());
-  if (er.spawned > 0)
-    std::printf("  workers: %d forked (%d respawn(s)), %d died, %d killed "
-                "stale\n",
-                er.spawned, er.respawns, er.deaths, er.killed);
-  if (er.revocations > 0 || er.inprocess_chunks > 0)
-    std::printf("  leases: %d revoked (%d straggler(s)); %d chunk(s) "
-                "finished in-process by the controller\n",
-                er.revocations, er.stragglers, er.inprocess_chunks);
-  if (er.tail_dropped > 0)
-    std::printf("  tailers dropped %llu corrupt worker record(s) "
-                "(recomputed elsewhere)\n",
-                static_cast<unsigned long long>(er.tail_dropped));
 }
 
 void print_report(const musa::core::SweepReport& rep) {
@@ -336,9 +296,6 @@ int main(int argc, char** argv) {
   std::string trace_out;
   std::string metrics_out;
   core::SweepOptions opts;
-  sweep::ElasticOptions elastic;
-  bool workers_flag = false;   // --workers given (any N)
-  bool elastic_tuning = false; // a lease/heartbeat/straggler knob given
   for (int a = 1; a < argc; ++a) {
     if (std::strcmp(argv[a], "--force") == 0) {
       force = true;
@@ -375,73 +332,10 @@ int main(int argc, char** argv) {
                      argv[a], kUsage);
         return 2;
       }
-    } else if (std::strcmp(argv[a], "--workers") == 0 && a + 1 < argc) {
-      long n = 0;
-      if (!parse_uint(argv[++a], &n) || n < 1) {
-        std::fprintf(stderr, "bad --workers '%s' (want an integer >= 1)\n%s",
-                     argv[a], kUsage);
-        return 2;
-      }
-      elastic.workers = static_cast<int>(n);
-      workers_flag = true;
-    } else if (std::strcmp(argv[a], "--lease-points") == 0 && a + 1 < argc) {
-      long k = 0;
-      if (!parse_uint(argv[++a], &k) || k < 1) {
-        std::fprintf(stderr,
-                     "bad --lease-points '%s' (want an integer >= 1)\n%s",
-                     argv[a], kUsage);
-        return 2;
-      }
-      elastic.lease_points = static_cast<int>(k);
-      elastic_tuning = true;
-    } else if (std::strcmp(argv[a], "--heartbeat-ms") == 0 && a + 1 < argc) {
-      double ms = 0.0;
-      if (!parse_positive(argv[++a], &ms)) {
-        std::fprintf(stderr,
-                     "bad --heartbeat-ms '%s' (want milliseconds > 0)\n%s",
-                     argv[a], kUsage);
-        return 2;
-      }
-      elastic.heartbeat_s = ms / 1e3;
-      elastic_tuning = true;
-    } else if (std::strcmp(argv[a], "--straggler-factor") == 0 &&
-               a + 1 < argc) {
-      if (!parse_positive(argv[++a], &elastic.straggler_factor)) {
-        std::fprintf(stderr,
-                     "bad --straggler-factor '%s' (want a factor > 0)\n%s",
-                     argv[a], kUsage);
-        return 2;
-      }
-      elastic_tuning = true;
     } else {
       std::fprintf(stderr, "%s", kUsage);
       return 2;
     }
-  }
-
-  // Flag-combination validation, all exit 2: the elastic controller owns
-  // the whole plan (no --shard), and containment is load-bearing for its
-  // convergence argument (a --strict worker that aborted on the first
-  // fault-injected point could never drain a poisoned chunk).
-  const bool elastic_run = elastic.workers > 1;
-  if (workers_flag && opts.shard_count > 1) {
-    std::fprintf(stderr, "--workers and --shard are mutually exclusive: the "
-                         "elastic controller leases the whole plan\n%s",
-                 kUsage);
-    return 2;
-  }
-  if (workers_flag && opts.fail_fast) {
-    std::fprintf(stderr, "--workers is incompatible with --strict: elastic "
-                         "workers must contain failures as FAIL rows\n%s",
-                 kUsage);
-    return 2;
-  }
-  if (elastic_tuning && !workers_flag) {
-    std::fprintf(stderr,
-                 "--lease-points / --heartbeat-ms / --straggler-factor "
-                 "tune the elastic controller; add --workers N\n%s",
-                 kUsage);
-    return 2;
   }
 
   // MUSA_TRACE supplies a default trace path when --trace-out is absent —
@@ -482,24 +376,7 @@ int main(int argc, char** argv) {
                  "set MUSA_DSE_CACHE\n");
     return 2;
   }
-  if (elastic_run && bench::dse_cache_path().empty()) {
-    std::fprintf(stderr,
-                 "--workers needs a cache path: worker results travel "
-                 "through its journals; set MUSA_DSE_CACHE\n");
-    return 2;
-  }
-  if (elastic_run && !sweep::elastic_supported()) {
-    std::fprintf(stderr,
-                 "--workers needs fork + socketpair; this platform has "
-                 "neither — run without it\n");
-    return 2;
-  }
-  // The elastic finalize pass never retries FAIL rows: a --retry-failed
-  // elastic run already handed the quarantined keys back to the workers,
-  // so retrying again in-process would compute them a third time.
-  core::SweepOptions finalize_opts = opts;
-  if (elastic_run) finalize_opts.retry_failed = false;
-  core::DseEngine dse(pipeline, bench::dse_cache_path(), finalize_opts);
+  core::DseEngine dse(pipeline, bench::dse_cache_path(), opts);
 
   if (bench_sweep)
     std::printf("MUSA-DSE bench sweep (24 configs x 1 app = 24 points)\n");
@@ -508,11 +385,6 @@ int main(int argc, char** argv) {
   std::printf("cache file: %s\n", bench::dse_cache_path().c_str());
   if (opts.shard_count > 1)
     std::printf("shard %d of %d\n", opts.shard_index, opts.shard_count);
-  if (elastic_run)
-    std::printf("elastic controller: %d workers, %d-point leases, "
-                "heartbeat %.0fms, straggler factor %.1fx\n",
-                elastic.workers, elastic.lease_points,
-                elastic.heartbeat_s * 1e3, elastic.straggler_factor);
   if (opts.point_timeout_s > 0.0)
     std::printf("per-point watchdog: %.3gs\n", opts.point_timeout_s);
   if (!trace_out.empty()) {
@@ -530,22 +402,7 @@ int main(int argc, char** argv) {
 
   core::SweepReport rep;
   try {
-    if (elastic_run) {
-      // Lease phase first: workers resolve every pending key into durable
-      // journal rows. --force must discard *before* the controller runs or
-      // the finalize sweep would throw the workers' journals away.
-      if (force) dse.clear_cache();
-      elastic.trace_path = trace_out;
-      sweep::ElasticController controller(pipeline, bench::dse_cache_path(),
-                                          opts, elastic);
-      print_elastic(controller.run());
-      // Finalize: a plain in-process sweep merges the worker journals,
-      // recomputes any residue, and writes the cache — the same authority
-      // a fault-free single-process run ends with.
-      rep = dse.sweep(/*force=*/false);
-    } else {
-      rep = dse.sweep(force);
-    }
+    rep = dse.sweep(force);
   } catch (const SimError& e) {
     std::fprintf(stderr, "sweep aborted%s: %s\n",
                  opts.fail_fast ? " (--strict)" : "", e.what());

@@ -20,7 +20,8 @@
 // (DESIGN.md §7f).
 //
 // Usage: sweep_bench [--check-regression BASELINE.json] [output.json]
-//   (output defaults to BENCH_sweep.json)
+//   (output defaults to BENCH_sweep.json; --help prints usage, and any
+//   other flag is a usage error, exit 2)
 //
 // With --check-regression, the memo run's points_per_s and kernel_s are
 // compared against the named baseline (a previously committed
@@ -36,7 +37,6 @@
 #include "core/dse.hpp"
 #include "fig_common.hpp"
 #include "obs/span.hpp"
-#include "sweep/controller.hpp"
 
 namespace {
 
@@ -139,72 +139,6 @@ void json_run(std::FILE* f, const char* name, const Run& r) {
       MemoStats::rate(m.total_hits(), m.total_misses()));
 }
 
-/// One elastic controller/worker run (DESIGN.md §7h) over the same
-/// 24-point space: forks `workers` processes, leases them 4-point chunks,
-/// finalizes through the normal engine, and returns the result rows for
-/// the byte-identity check against the in-process runs.
-struct ElasticRun {
-  double wall_s = 0.0;
-  musa::sweep::ElasticReport report;
-  std::vector<std::string> rows;
-};
-
-ElasticRun run_elastic(int workers, const std::string& cache_path) {
-  SweepOptions opts;
-  opts.verbose = false;
-  opts.apps = {musa::bench::bench_app()};
-  opts.configs = musa::bench::bench_space();
-
-  musa::sweep::ElasticOptions eopts;
-  eopts.workers = workers;
-  eopts.lease_points = 4;
-  eopts.heartbeat_s = 0.1;
-
-  ElasticRun r;
-  Pipeline pipeline;
-  DseEngine dse(pipeline, cache_path, opts);
-  dse.clear_cache();  // time a cold sweep, not a cache hit
-  const auto t0 = std::chrono::steady_clock::now();
-  musa::sweep::ElasticController controller(pipeline, cache_path, opts,
-                                            eopts);
-  r.report = controller.run();
-  dse.sweep(/*force=*/false);  // merge worker journals, write the cache
-  const auto t1 = std::chrono::steady_clock::now();
-  r.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  for (const auto& res : dse.results()) {
-    std::string joined;
-    for (const auto& cell : DseEngine::to_row(res)) {
-      if (!joined.empty()) joined += ',';
-      joined += cell;
-    }
-    r.rows.push_back(std::move(joined));
-  }
-  std::remove(cache_path.c_str());
-  std::remove(
-      musa::sweep::ElasticController::lease_log_path(cache_path).c_str());
-  return r;
-}
-
-void json_elastic(std::FILE* f, const ElasticRun& r, int workers,
-                  double serial_wall_s) {
-  const double pps =
-      r.wall_s > 0 ? static_cast<double>(r.report.resolved) / r.wall_s : 0.0;
-  // Occupancy here is parallel efficiency against the serial in-process
-  // run: serial wall over workers × elastic wall. The gap is fork +
-  // journal-fsync + lease-bookkeeping overhead.
-  const double occupancy =
-      r.wall_s > 0 && workers > 0
-          ? serial_wall_s / (r.wall_s * static_cast<double>(workers))
-          : 0.0;
-  std::fprintf(f,
-               "    \"workers_%d\": {\"wall_s\": %.4f, \"points\": %llu, "
-               "\"points_per_s\": %.3f, \"occupancy\": %.4f, "
-               "\"respawns\": %d, \"revocations\": %d}",
-               workers, r.wall_s,
-               static_cast<unsigned long long>(r.report.resolved), pps,
-               occupancy, r.report.respawns, r.report.revocations);
-}
-
 /// Pulls `points_per_s` and `stages.kernel_s` of the "memo" run out of a
 /// BENCH_sweep.json written by this program. Plain string scanning — the
 /// format is our own, flat, and covered by the identity checks above; a
@@ -251,14 +185,27 @@ std::string read_serve_entry(const std::string& path) {
   return text.substr(open, close - open + 1);
 }
 
+constexpr const char* kUsage =
+    "usage: sweep_bench [--check-regression BASELINE.json] [output.json]\n"
+    "  output.json defaults to BENCH_sweep.json\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_sweep.json";
   std::string baseline_path;
   for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--help") == 0) {
+      std::printf("%s", kUsage);
+      return 0;
+    }
     if (std::strcmp(argv[i], "--check-regression") == 0 && i + 1 < argc) {
       baseline_path = argv[++i];
+    } else if (argv[i][0] == '-') {
+      std::fprintf(stderr,
+                   "sweep_bench: unknown or incomplete option '%s'\n%s",
+                   argv[i], kUsage);
+      return 2;
     } else {
       out_path = argv[i];
     }
@@ -300,29 +247,6 @@ int main(int argc, char** argv) {
                  "modes — staleness, observer-effect, or batching bug\n");
     return 1;
   }
-  // Elastic controller scaling: the same 24 points through 1/2/4 forked
-  // workers. Byte-identity across worker counts is the §7h contract — the
-  // journal-merge finalize must land the exact rows the in-process sweep
-  // computes, no matter how the points were partitioned into leases.
-  std::vector<ElasticRun> elastic;
-  const std::vector<int> worker_counts = {1, 2, 4};
-  if (musa::sweep::elastic_supported()) {
-    const std::string cache = out_path + ".elastic.cache.csv";
-    for (const int w : worker_counts) {
-      elastic.push_back(run_elastic(w, cache));
-      const ElasticRun& e = elastic.back();
-      std::printf("  elastic %dw: %5.2fs  (%.2f points/s)\n", w, e.wall_s,
-                  e.wall_s > 0 ? e.report.resolved / e.wall_s : 0.0);
-      if (e.rows != memo.rows) {
-        std::fprintf(stderr,
-                     "FAIL: elastic %d-worker sweep rows differ from the "
-                     "in-process sweep — journal merge broke byte "
-                     "identity\n",
-                     w);
-        return 1;
-      }
-    }
-  }
 
   const double speedup = memo.wall_s > 0 ? plain.wall_s / memo.wall_s : 0.0;
   const double trace_overhead =
@@ -351,14 +275,6 @@ int main(int argc, char** argv) {
   json_run(f, "traced", traced);
   std::fprintf(f, ",\n");
   json_run(f, "reference", reference);
-  if (!elastic.empty()) {
-    std::fprintf(f, ",\n  \"elastic\": {\n");
-    for (std::size_t i = 0; i < elastic.size(); ++i) {
-      json_elastic(f, elastic[i], worker_counts[i], memo.wall_s);
-      std::fprintf(f, i + 1 < elastic.size() ? ",\n" : "\n");
-    }
-    std::fprintf(f, "  }");
-  }
   std::fprintf(f,
                ",\n  \"speedup\": %.3f,\n  \"trace_overhead\": %.4f,\n"
                "  \"kernel_speedup\": %.3f,\n"

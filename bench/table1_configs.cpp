@@ -4,8 +4,10 @@
 
 #include "common/table.hpp"
 #include "core/config_space.hpp"
+#include "fig_common.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+  musa::bench::expect_no_arguments(argc, argv);
   using namespace musa;
 
   std::printf("Table I: simulation architectural parameters\n\n");

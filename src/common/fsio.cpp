@@ -5,22 +5,14 @@
 
 #include "common/check.hpp"
 
-#include <sys/stat.h>
-
 #ifdef _WIN32
 #include <io.h>
 #define musa_fileno _fileno
 #define musa_fsync _commit
-#define musa_stat _stat64
-#define musa_fstat _fstat64
-using musa_stat_t = struct ::_stat64;
 #else
 #include <unistd.h>
 #define musa_fileno fileno
 #define musa_fsync fsync
-#define musa_stat stat
-#define musa_fstat fstat
-using musa_stat_t = struct ::stat;
 #endif
 
 namespace musa {
@@ -52,44 +44,13 @@ void atomic_write_file(const std::string& path, const std::string& content) {
                  "rename failed: " + tmp + " -> " + path);
 }
 
-namespace {
-FileStamp stamp_from(const musa_stat_t& st) {
-  FileStamp s;
-  s.exists = true;
-  s.inode = static_cast<std::uint64_t>(st.st_ino);
-  s.size = static_cast<std::uint64_t>(st.st_size);
-  return s;
-}
-}  // namespace
-
-FileStamp stat_file(const std::string& path) {
-  musa_stat_t st{};
-  if (musa_stat(path.c_str(), &st) != 0) return {};
-  return stamp_from(st);
-}
-
-std::string read_file_from(const std::string& path, std::uint64_t offset,
-                           FileStamp* stamp) {
-  if (stamp) *stamp = {};
+std::string read_file(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return {};
-  musa_stat_t st{};
-  if (musa_fstat(musa_fileno(f), &st) != 0) {
-    std::fclose(f);
-    return {};
-  }
-  if (stamp) *stamp = stamp_from(st);
-  const auto size = static_cast<std::uint64_t>(st.st_size);
-  if (offset >= size) {
-    std::fclose(f);
-    return {};
-  }
   std::string out;
-  if (std::fseek(f, static_cast<long>(offset), SEEK_SET) == 0) {
-    out.resize(static_cast<std::size_t>(size - offset));
-    const std::size_t n = std::fread(out.data(), 1, out.size(), f);
-    out.resize(n);  // the writer may still be mid-append; keep what we got
-  }
+  char buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
   std::fclose(f);
   return out;
 }

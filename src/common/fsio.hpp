@@ -5,7 +5,6 @@
 // hybrid that parses cleanly and silently corrupts downstream figures.
 #pragma once
 
-#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -16,25 +15,8 @@ namespace musa {
 /// Readers see either the previous file or the complete new one.
 void atomic_write_file(const std::string& path, const std::string& content);
 
-/// Identity snapshot of a file, for detecting replacement (an atomic
-/// rewrite swaps the inode) and truncation between reads. `inode` is 0 on
-/// platforms without one; `size` alone still catches truncation there.
-struct FileStamp {
-  bool exists = false;
-  std::uint64_t inode = 0;
-  std::uint64_t size = 0;
-};
-
-/// Stamps `path` without opening it; `exists == false` when absent.
-FileStamp stat_file(const std::string& path);
-
-/// Reads `path` from byte `offset` to EOF. When `stamp` is non-null it is
-/// filled from the *open* handle (fstat), so identity and content are a
-/// consistent snapshot — the caller can detect that the file it read is not
-/// the file it expected, with no stat-then-open race. A missing file reads
-/// as empty with `stamp->exists == false`; an offset past EOF reads empty.
-std::string read_file_from(const std::string& path, std::uint64_t offset,
-                           FileStamp* stamp = nullptr);
+/// Reads all of `path`; a missing or unreadable file reads as empty.
+std::string read_file(const std::string& path);
 
 /// Append-only file handle whose append() does not return until the bytes
 /// are flushed and fsync'd — the durability backbone of the sweep journal.

@@ -49,10 +49,6 @@ constexpr const char* kMagic = "musa-journal v1";
 constexpr const char* kFailPrefix = "FAIL!";
 constexpr std::size_t kFailCells = 4;
 constexpr std::size_t kFailMessageMax = 240;
-/// Reserved key prefix marking a lease-lifecycle record; its payload is the
-/// fixed six-cell {event, chunk, worker, begin, end, detail} schema.
-constexpr const char* kLeasePrefix = "LEASE!";
-constexpr std::size_t kLeaseCells = 6;
 
 std::string join(const std::vector<std::string>& cells, char sep) {
   std::string out;
@@ -98,10 +94,6 @@ bool has_fail_prefix(const std::string& key) {
   return key.compare(0, std::strlen(kFailPrefix), kFailPrefix) == 0;
 }
 
-bool has_lease_prefix(const std::string& key) {
-  return key.compare(0, std::strlen(kLeasePrefix), kLeasePrefix) == 0;
-}
-
 /// Exception texts are arbitrary; make them record-safe instead of letting
 /// a comma in a message abort the quarantine path.
 std::string sanitize_message(std::string msg) {
@@ -135,34 +127,14 @@ bool parse_fail(const std::vector<std::string>& cells,
   return true;
 }
 
-std::vector<std::string> lease_cells(const LeaseRecord& lease) {
-  return {sanitize_message(lease.event), std::to_string(lease.chunk),
-          std::to_string(lease.worker), std::to_string(lease.begin),
-          std::to_string(lease.end), sanitize_message(lease.detail)};
-}
-
-/// Strict LEASE payload decode, same policy as parse_fail: a malformed
-/// numeric cell is a checksum-class violation (record dropped + counted),
-/// never a zero-valued lease event that would corrupt the audit trail.
-bool parse_lease(const std::vector<std::string>& cells, LeaseRecord* lease) {
-  if (!parse_int(cells[1], &lease->chunk) || lease->chunk < -1) return false;
-  if (!parse_int(cells[2], &lease->worker) || lease->worker < -1) return false;
-  if (!parse_u64(cells[3], &lease->begin)) return false;
-  if (!parse_u64(cells[4], &lease->end)) return false;
-  lease->event = cells[0];
-  lease->detail = cells[5];
-  return true;
-}
-
 /// One parsed journal record line. kBad covers every reject: wrong part
 /// count, checksum mismatch, wrong cell width for the key's record type.
 struct ParsedRecord {
-  enum class Kind { kBad, kEntry, kFail, kLease };
+  enum class Kind { kBad, kEntry, kFail };
   Kind kind = Kind::kBad;
   std::string key;                 // entry key, or FAIL key prefix-stripped
   std::vector<std::string> cells;  // entry row cells
   ResultJournal::FailRecord fail;
-  LeaseRecord lease;
 };
 
 ParsedRecord parse_record(const std::string& line,
@@ -180,12 +152,6 @@ ParsedRecord parse_record(const std::string& line,
     rec.key = parts[0].substr(std::strlen(kFailPrefix));
     return rec;
   }
-  if (has_lease_prefix(parts[0])) {
-    if (cells.size() != kLeaseCells) return rec;
-    if (!parse_lease(cells, &rec.lease)) return rec;
-    rec.kind = ParsedRecord::Kind::kLease;
-    return rec;
-  }
   if (cells.size() != header.size()) return rec;
   rec.kind = ParsedRecord::Kind::kEntry;
   rec.key = parts[0];
@@ -194,13 +160,6 @@ ParsedRecord parse_record(const std::string& line,
 }
 
 }  // namespace
-
-bool known_lease_event(const std::string& event) {
-  for (const char* known : {"granted", "revoked", "committed", "spawned",
-                            "respawned", "killed", "inprocess", "abandoned"})
-    if (event == known) return true;
-  return false;
-}
 
 std::uint64_t fnv1a64(const std::string& data) {
   std::uint64_t h = 14695981039346656037ull;
@@ -236,9 +195,6 @@ ResultJournal::LoadResult ResultJournal::read(
       case ParsedRecord::Kind::kFail:
         out.fails[rec.key] = std::move(rec.fail);
         break;
-      case ParsedRecord::Kind::kLease:
-        out.leases.push_back(std::move(rec.lease));
-        break;
       case ParsedRecord::Kind::kEntry:
         out.entries[rec.key] = std::move(rec.cells);
         break;
@@ -271,23 +227,17 @@ ResultJournal::ResultJournal(std::string path, std::vector<std::string> header)
   }
   entries_ = std::move(loaded.entries);
   fails_ = std::move(loaded.fails);
-  leases_ = std::move(loaded.leases);
   dropped_ = loaded.dropped;
   if (dropped_ > 0) dropped_records().add(dropped_);
 
   // Compact: rewrite only the valid records so a corrupt tail from a crash
   // (or a stale-schema file) cannot collide with the next append. Surviving
   // FAIL rows (quarantines without a good row) are kept — they are what
-  // --retry-failed and the quarantine report resume from — and lease
-  // records are kept in order (renumbered): they are the controller's
-  // audit log across restarts.
+  // --retry-failed and the quarantine report resume from.
   std::string text = std::string(kMagic) + '\n' + join(header_, ',') + '\n';
   for (const auto& [key, cells] : entries_) text += record_line(key, cells);
   for (const auto& [key, fail] : fails_)
     text += record_line(kFailPrefix + key, fail_cells(fail));
-  for (std::size_t i = 0; i < leases_.size(); ++i)
-    text += record_line(kLeasePrefix + std::to_string(i),
-                        lease_cells(leases_[i]));
   atomic_write_file(path_, text);
   out_ = std::make_unique<DurableAppender>(path_);
 }
@@ -322,8 +272,6 @@ void ResultJournal::append(const std::string& key,
                    "journal cell contains a delimiter: " + cell);
   MUSA_CHECK_MSG(!has_fail_prefix(key),
                  "journal key collides with the FAIL prefix: " + key);
-  MUSA_CHECK_MSG(!has_lease_prefix(key),
-                 "journal key collides with the LEASE prefix: " + key);
   const std::string line = record_line(key, row);
   obs::Span span("journal.append", key);
   const auto t0 = std::chrono::steady_clock::now();
@@ -368,19 +316,6 @@ void ResultJournal::append_fail(const std::string& key,
   if (entries_.count(key) == 0) fails_[key] = std::move(clean);
 }
 
-void ResultJournal::append_lease(const LeaseRecord& lease) {
-  LeaseRecord clean = lease;
-  clean.event = sanitize_message(clean.event);
-  clean.detail = sanitize_message(clean.detail);
-  std::lock_guard<std::mutex> lock(mu_);
-  MUSA_CHECK_MSG(out_ != nullptr, "append on a discarded journal");
-  // The sequence number only keeps record keys distinct; readers recover
-  // order from file position, so renumbering on compaction is harmless.
-  out_->append(record_line(kLeasePrefix + std::to_string(leases_.size()),
-                           lease_cells(clean)));
-  leases_.push_back(std::move(clean));
-}
-
 void ResultJournal::set_append_mutator(AppendMutator mutator) {
   std::lock_guard<std::mutex> lock(mu_);
   mutator_ = std::move(mutator);
@@ -393,76 +328,6 @@ void ResultJournal::discard() {
     out_.reset();
   }
   std::remove(path_.c_str());
-}
-
-JournalTailer::JournalTailer(std::string path,
-                             std::vector<std::string> header)
-    : path_(std::move(path)), header_(std::move(header)) {}
-
-JournalTailer::Batch JournalTailer::poll() {
-  Batch batch;
-  FileStamp stamp;
-  std::string data = read_file_from(path_, offset_, &stamp);
-  if (!stamp.exists) return batch;
-  if (stamp.inode != inode_ || stamp.size < offset_) {
-    // The file was replaced (the owner compacted it: atomic rename swaps
-    // the inode) or truncated. Restart from the top of what is there now —
-    // re-reading records the old incarnation already delivered is safe
-    // because journal consumption is keyed, hence idempotent.
-    inode_ = stamp.inode;
-    offset_ = 0;
-    header_lines_ = 0;
-    schema_bad_ = false;
-    data = read_file_from(path_, 0, &stamp);
-    if (!stamp.exists) return batch;
-    inode_ = stamp.inode;  // replaced again mid-poll; next poll reconciles
-  }
-  if (schema_bad_ || data.empty()) return batch;
-
-  // Consume only complete lines; a partial tail (a writer mid-append, or
-  // killed mid-append) stays unconsumed and is retried next poll once —
-  // if ever — its newline lands.
-  const std::size_t complete = data.rfind('\n');
-  if (complete == std::string::npos) return batch;
-  data.resize(complete + 1);
-  offset_ += data.size();
-
-  std::size_t pos = 0;
-  while (pos < data.size()) {
-    const std::size_t eol = data.find('\n', pos);
-    std::string line = data.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    if (header_lines_ == 0) {
-      if (split(line, '\t')[0] != kMagic) schema_bad_ = true;
-      ++header_lines_;
-      if (schema_bad_) return batch;
-      continue;
-    }
-    if (header_lines_ == 1) {
-      if (split(line, ',') != header_) schema_bad_ = true;
-      ++header_lines_;
-      if (schema_bad_) return batch;
-      continue;
-    }
-    ParsedRecord rec = parse_record(line, header_);
-    switch (rec.kind) {
-      case ParsedRecord::Kind::kBad:
-        ++batch.dropped;
-        break;
-      case ParsedRecord::Kind::kFail:
-        batch.fail_keys.push_back(std::move(rec.key));
-        break;
-      case ParsedRecord::Kind::kLease:
-        batch.leases.push_back(std::move(rec.lease));
-        break;
-      case ParsedRecord::Kind::kEntry:
-        batch.entries.emplace_back(std::move(rec.key), std::move(rec.cells));
-        break;
-    }
-  }
-  return batch;
 }
 
 std::vector<std::string> find_journals(const std::string& artifact_path) {

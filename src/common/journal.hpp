@@ -25,13 +25,9 @@
 // Resolution is idempotent and order-independent: a good row for a key
 // always supersedes any FAIL row for the same key (a quarantine must never
 // shadow a real result), and duplicate FAIL rows dedupe to the last one.
-//
-// Lease (LEASE) rows are the elastic sweep controller's audit log, under a
-// second reserved key prefix: a record with key "LEASE!<seq>" carries the
-// fixed six-cell payload {event, chunk, worker, begin, end, detail}. They
-// never shadow result keys — loaders keep them in a separate, file-ordered
-// list — so a controller journal can interleave lease events with the
-// result rows its in-process fallback computes.
+// A record of any other type (a key prefix this reader does not know, with
+// a payload that is not a result row) fails the width check and is
+// dropped and counted like corruption; compaction then removes it.
 #pragma once
 
 #include <cstdint>
@@ -46,23 +42,6 @@ namespace musa {
 
 /// FNV-1a 64-bit hash — the journal's per-record integrity check.
 std::uint64_t fnv1a64(const std::string& data);
-
-/// One lease-lifecycle event journaled by the elastic sweep controller.
-/// `event` is one of the known_lease_event() vocabulary; an event outside
-/// it means writer/reader version skew and is flagged by the lint tools.
-struct LeaseRecord {
-  std::string event;            // granted | revoked | committed | ...
-  int chunk = -1;               // chunk id (-1 = not chunk-scoped)
-  int worker = -1;              // worker spawn id (-1 = controller)
-  std::uint64_t begin = 0;      // chunk's [begin, end) slice of the
-  std::uint64_t end = 0;        //   pending-point list
-  std::string detail;           // revocation reason, pid, ... ("" = none)
-};
-
-/// The lease-event vocabulary this reader understands. Writers must not
-/// invent events outside it: per the journal version-skew policy, an
-/// unknown event is a lint violation, not something to skip silently.
-bool known_lease_event(const std::string& event);
 
 class ResultJournal {
  public:
@@ -81,7 +60,6 @@ class ResultJournal {
   struct LoadResult {
     Entries entries;                // valid records, last write per key wins
     Fails fails;                    // quarantined keys without a good row
-    std::vector<LeaseRecord> leases;  // lease events, in file order
     std::size_t dropped = 0;        // corrupt/truncated records discarded
     bool schema_mismatch = false;   // header lines did not match `header`
   };
@@ -135,15 +113,6 @@ class ResultJournal {
   /// comma. Thread-safe.
   void append_fail(const std::string& key, const FailRecord& fail);
 
-  /// Appends one lease-lifecycle record (the string fields are sanitised
-  /// like FAIL messages). Lease records are an append-only audit log: they
-  /// never affect entries()/fails() or the good-beats-FAIL resolution.
-  /// Thread-safe.
-  void append_lease(const LeaseRecord& lease);
-
-  /// Lease records loaded plus appended, in order.
-  const std::vector<LeaseRecord>& leases() const { return leases_; }
-
   /// Chaos/test hook: transforms a serialised record line just before it
   /// hits the appender (the checksum is already inside the line, so any
   /// mutation is detectable on load). A mutated record is treated as lost:
@@ -163,49 +132,10 @@ class ResultJournal {
   std::vector<std::string> header_;
   Entries entries_;
   Fails fails_;
-  std::vector<LeaseRecord> leases_;
   std::size_t dropped_ = 0;
   std::unique_ptr<class DurableAppender> out_;
   AppendMutator mutator_;
   mutable std::mutex mu_;
-};
-
-/// Incremental reader for a journal another process is appending to — the
-/// controller's continuous-ingestion view of its workers' journals,
-/// replacing merge-at-finalize for progress tracking. Each poll() returns
-/// exactly the records that became durable (complete, newline-terminated,
-/// checksum-valid) since the previous poll. A partial tail record — the
-/// writer was mid-append, or died mid-append — is left unconsumed and
-/// retried on the next poll. Replacement of the file (the owning process
-/// compacted it via atomic rename) or truncation is detected from the
-/// inode+size stamp of the very handle the bytes were read from, and the
-/// new file is re-read from the start; consumers must treat re-delivered
-/// records as idempotent, which the journal's key semantics already are.
-class JournalTailer {
- public:
-  JournalTailer(std::string path, std::vector<std::string> header);
-
-  struct Batch {
-    std::vector<std::pair<std::string, std::vector<std::string>>> entries;
-    std::vector<std::string> fail_keys;  // keys of FAIL rows, prefix stripped
-    std::vector<LeaseRecord> leases;
-    std::size_t dropped = 0;             // checksum/width rejects
-  };
-
-  /// Reads and parses everything new; cheap no-op when the file is
-  /// unchanged or absent.
-  Batch poll();
-
-  /// Byte offset of the next unread record (0 until the file exists).
-  std::uint64_t offset() const { return offset_; }
-
- private:
-  std::string path_;
-  std::vector<std::string> header_;
-  std::uint64_t offset_ = 0;
-  std::uint64_t inode_ = 0;
-  int header_lines_ = 0;  // header lines consumed (2 = record region)
-  bool schema_bad_ = false;
 };
 
 /// Every journal that belongs to `artifact_path`, i.e. files named

@@ -2,8 +2,8 @@
 // range-checked, no silent aliasing.
 //
 // std::atoi and an end-pointer-less strtoull both map garbage to 0 — which
-// is a *valid* chunk id, epoch, and offset everywhere this codebase uses
-// integers, so a malformed field would silently alias record 0 instead of
+// is a *valid* count, port, and attempt number everywhere this codebase
+// uses integers, so a malformed field would silently alias record 0 instead of
 // being rejected. These helpers follow the MUSA_THREADS env-parsing
 // discipline (common/parallel.cpp): the whole string must be one decimal
 // number, in range, with nothing before or after it. Anything else —

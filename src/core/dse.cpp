@@ -322,7 +322,7 @@ SweepReport DseEngine::sweep(bool force) {
                                   pipeline_options_fingerprint(
                                       pipeline_.options()));
   // Per-point containment (budget, verify, retry-with-jitter, quarantine)
-  // lives in PointRunner — the same executor the elastic workers run, so
+  // lives in PointRunner — the same executor the DSE server runs, so
   // journal rows are byte-identical no matter which process computed them.
   PointRunner runner(plan, options_);
 

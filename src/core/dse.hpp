@@ -144,10 +144,10 @@ struct SweepOptions {
 };
 
 /// The enumerated sweep plan: app-major over (apps × configs), the same
-/// layout DseEngine::results() uses. Public because the elastic sweep
-/// controller and its workers (src/sweep) must agree with the engine on the
-/// exact point enumeration — both sides build it independently from the
-/// same SweepOptions, and the journal keys line up by construction.
+/// layout DseEngine::results() uses. Public because the DSE server
+/// (src/serve) builds plans for its queries and must agree with the engine
+/// on the exact point enumeration — both build it from SweepOptions, and
+/// the journal keys line up by construction.
 struct SweepPlan {
   std::vector<const apps::AppModel*> app_list;
   std::vector<MachineConfig> configs;
@@ -168,8 +168,8 @@ struct SweepPlan {
 /// Builds the plan a sweep with `options` would run: explicit configs/apps
 /// when given, an analyzer-filtered grid when `options.axes` is set, the
 /// paper's full space otherwise. Deterministic — equal options produce an
-/// identical plan, which is what makes independently-built controller and
-/// worker plans interchangeable.
+/// identical plan, which is what lets shards built in separate processes
+/// (`SweepOptions::shard_*`) journal under the same keys.
 SweepPlan make_sweep_plan(const SweepOptions& options);
 
 /// One quarantined sweep point, for the post-sweep report.

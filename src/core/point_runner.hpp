@@ -1,15 +1,15 @@
-// Per-point containment executor shared by DseEngine::sweep and the
-// elastic sweep workers (src/sweep/worker).
+// Per-point containment executor shared by DseEngine::sweep and the DSE
+// server's compute threads (src/serve).
 //
 // A sweep point is the unit of failure containment: one attempt runs the
 // full pipeline under a cooperative wall-clock budget, verifies the result
 // invariants, and journals either the result row or a quarantine (FAIL)
 // record. Transient io-class errors retry in place with full-jitter
 // exponential backoff; everything else quarantines (or, in fail-fast mode,
-// cancels the sweep and rethrows). The elastic controller relies on the
-// executor being *the same code* in-process and in a worker process: a
-// point computed by whichever party journals byte-identical rows, which is
-// what makes duplicate recomputation after a lease revocation harmless.
+// cancels the sweep and rethrows). Batch sweeps, shards and the server
+// rely on the executor being *the same code*: a point computed by any of
+// them journals byte-identical rows, which is what makes shard journals
+// mergeable and duplicate recomputation harmless.
 #pragma once
 
 #include <atomic>

@@ -191,7 +191,7 @@ struct DseServer::Impl {
     fingerprint = core::pipeline_options_fingerprint(options.pipeline);
     const std::string fp_path = options.cache_path + ".fp";
     const std::string want = fingerprint_hex(fingerprint);
-    std::string prev = read_file_from(fp_path, 0);
+    std::string prev = read_file(fp_path);
     while (!prev.empty() && (prev.back() == '\n' || prev.back() == '\r'))
       prev.pop_back();
     if (!prev.empty() && prev != want) {

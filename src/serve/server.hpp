@@ -4,11 +4,10 @@
 // journal-backed result cache — and answers point / sub-space queries from
 // many concurrent clients over AF_UNIX (and optionally loopback TCP)
 // sockets, speaking the JSON-lines grammar of serve/wire.hpp over the
-// elastic sweep's newline framing (sweep::LineChannel, babble cap
-// included). Where the elastic controller (src/sweep) amortises one batch
-// sweep across worker *processes*, the server amortises the warm state
-// across *queries over time*: the second client asking about a point pays
-// a cache lookup, not a simulation.
+// newline framing of sweep/protocol.hpp (sweep::LineChannel, babble cap
+// included). Where a batch sweep amortises the warm state across one run,
+// the server amortises it across *queries over time*: the second client
+// asking about a point pays a cache lookup, not a simulation.
 //
 // Execution model:
 //   * one I/O thread: poll(2) over the listeners and every client,
@@ -16,8 +15,8 @@
 //   * N compute threads, each owning a private core::Pipeline attached to
 //     one shared StageMemo (the DseEngine worker pattern), executing
 //     points through the same core::PointRunner containment the batch
-//     engine and elastic workers use — served rows are byte-identical to
-//     a batch sweep's by construction;
+//     engine uses — served rows are byte-identical to a batch sweep's by
+//     construction;
 //   * a point-granular scheduler: strict priority tiers, round-robin
 //     across jobs within a tier, so a 1-point query never queues behind a
 //     thousand-point space sweep from another client (fairness), and an

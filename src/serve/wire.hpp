@@ -1,8 +1,8 @@
 // Wire grammar of the DSE server (DESIGN.md §7i "Serving").
 //
 // Requests and replies are JSON objects, one per line, carried over the
-// same newline framing the elastic sweep already speaks
-// (sweep::LineChannel, including its 64 KiB babble cap). Four operations:
+// newline framing of sweep/protocol.hpp (sweep::LineChannel, including its
+// 64 KiB babble cap). Four operations:
 //
 //   {"id":"r1","op":"point","app":"hydro",
 //    "config":"medium|32M:256K|2.0GHz|128b|4ch-DDR4-2333|32c"}

@@ -9,21 +9,6 @@
 
 namespace musa::sweep {
 
-std::vector<std::string> split_words(const std::string& line) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char ch : line) {
-    if (ch == ' ') {
-      if (!cur.empty()) out.push_back(cur);
-      cur.clear();
-    } else {
-      cur.push_back(ch);
-    }
-  }
-  if (!cur.empty()) out.push_back(cur);
-  return out;
-}
-
 #ifndef _WIN32
 
 void LineChannel::close() {
@@ -41,7 +26,7 @@ bool LineChannel::send(const std::string& line) {
   std::size_t sent = 0;
   while (sent < data.size()) {
     // MSG_NOSIGNAL: a dead peer is an expected condition the caller
-    // handles (that is the whole point of this subsystem), not a SIGPIPE.
+    // handles, not a SIGPIPE.
     const ssize_t n = ::send(fd_, data.data() + sent, data.size() - sent,
                              MSG_NOSIGNAL);
     if (n < 0) {
@@ -132,7 +117,7 @@ bool LineChannel::read_line(std::string* line) {
   }
 }
 
-#else  // _WIN32: the elastic controller is POSIX-only (fork/socketpair)
+#else  // _WIN32: the server is POSIX-only (AF_UNIX sockets, poll)
 
 void LineChannel::close() { fd_ = -1; }
 bool LineChannel::send(const std::string&) { return false; }

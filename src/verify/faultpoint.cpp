@@ -56,18 +56,11 @@ std::vector<std::string> split(const std::string& s, char sep) {
 
 FaultKind parse_kind(const std::string& name) {
   for (FaultKind k : {FaultKind::kIo, FaultKind::kModel, FaultKind::kInjected,
-                      FaultKind::kDelay, FaultKind::kCorrupt, FaultKind::kKill,
-                      FaultKind::kHang, FaultKind::kBabble})
+                      FaultKind::kDelay, FaultKind::kCorrupt})
     if (name == fault_kind_name(k)) return k;
   throw SimError("bad MUSA_FAULT kind: \"" + name +
-                     "\" (want io|model|injected|delay|corrupt|"
-                     "kill|hang|babble)",
+                     "\" (want io|model|injected|delay|corrupt)",
                  ErrorClass::kConfig);
-}
-
-bool is_process_kind(FaultKind kind) {
-  return kind == FaultKind::kKill || kind == FaultKind::kHang ||
-         kind == FaultKind::kBabble;
 }
 
 /// One fault evaluation: checks the pure decision, then the per-(spec,key)
@@ -83,8 +76,6 @@ bool evaluate(std::size_t spec_index, const FaultSpec& spec, const char* site,
     int max_fires = 0;  // 0 = unlimited
     if (spec.kind == FaultKind::kCorrupt)
       max_fires = spec.param > 0 ? spec.param : 1;
-    else if (is_process_kind(spec.kind))
-      max_fires = 1;  // param is a duration here, never a fire budget
     else if (spec.kind != FaultKind::kDelay)
       max_fires = spec.param;
     if (max_fires > 0) {
@@ -112,10 +103,6 @@ bool evaluate(std::size_t spec_index, const FaultSpec& spec, const char* site,
       return false;
     case FaultKind::kCorrupt:
       return true;
-    case FaultKind::kKill:
-    case FaultKind::kHang:
-    case FaultKind::kBabble:
-      return true;  // reported by process_fault(); the caller acts
   }
   return false;
 }
@@ -129,9 +116,6 @@ const char* fault_kind_name(FaultKind kind) {
     case FaultKind::kInjected: return "injected";
     case FaultKind::kDelay: return "delay";
     case FaultKind::kCorrupt: return "corrupt";
-    case FaultKind::kKill: return "kill";
-    case FaultKind::kHang: return "hang";
-    case FaultKind::kBabble: return "babble";
   }
   return "injected";
 }
@@ -234,7 +218,7 @@ void fault_point(const char* site, const std::string& key) {
     specs = g.plan.specs();
   }
   for (std::size_t i = 0; i < specs.size(); ++i)
-    if (specs[i].kind != FaultKind::kCorrupt && !is_process_kind(specs[i].kind))
+    if (specs[i].kind != FaultKind::kCorrupt)
       evaluate(i, specs[i], site, key);
 }
 
@@ -252,38 +236,6 @@ bool fault_corrupt(const char* site, const std::string& key) {
         evaluate(i, specs[i], site, key))
       corrupt = true;
   return corrupt;
-}
-
-ProcessFault process_fault(const char* site, const std::string& key) {
-  GlobalPlan& g = global_plan();
-  std::vector<FaultSpec> specs;
-  {
-    std::lock_guard<std::mutex> lock(g.mu);
-    if (!g.armed) return {};
-    specs = g.plan.specs();
-  }
-  // First armed process-kind spec that fires wins; one verdict per call
-  // keeps the worker's reaction unambiguous (it cannot both die and hang).
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (!is_process_kind(specs[i].kind)) continue;
-    if (!evaluate(i, specs[i], site, key)) continue;
-    ProcessFault fault;
-    switch (specs[i].kind) {
-      case FaultKind::kKill:
-        fault.action = ProcessFault::Action::kKill;
-        break;
-      case FaultKind::kHang:
-        fault.action = ProcessFault::Action::kHang;
-        fault.delay_ms = specs[i].param > 0 ? specs[i].param : 60000;
-        break;
-      default:
-        fault.action = ProcessFault::Action::kBabble;
-        fault.delay_ms = specs[i].param > 0 ? specs[i].param : 1000;
-        break;
-    }
-    return fault;
-  }
-  return {};
 }
 
 }  // namespace musa::verify

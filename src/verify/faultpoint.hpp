@@ -17,12 +17,6 @@
 //          corrupt                -> fault_corrupt() returns true (the
 //                                    journal then writes a checksum-
 //                                    detectable corrupted record)
-//          kill | hang | babble   -> process-level faults, reported by
-//                                    process_fault() and acted on by the
-//                                    elastic sweep worker: die by SIGKILL,
-//                                    stop computing but keep the process
-//                                    (heartbeats stop too), or keep
-//                                    heartbeating without making progress
 //   seed   decision seed (determinism knob)
 //   prob   firing probability in [0, 1]
 //   param  io/model/injected: max fires per (spec, key); 0 = unlimited.
@@ -30,12 +24,6 @@
 //          tests use this. delay: sleep milliseconds (fires unlimited).
 //          corrupt: max fires per key, default 1 (a corrupt fault that
 //          re-fires on every recompute would never converge).
-//          hang/babble: how long to misbehave, in milliseconds (defaults
-//          60000 / 1000); process kinds always budget 1 fire per
-//          (spec, key) per process — a respawned worker that drew the same
-//          chunk faults again (it is a fresh process), while the
-//          controller's in-process fallback never evaluates worker sites,
-//          which is what bounds the convergence chain.
 //
 // Whether a spec fires for a given (site, key) is a pure function of
 // (site, key, seed, prob) — independent of thread schedule, worker count,
@@ -50,8 +38,7 @@
 
 namespace musa::verify {
 
-enum class FaultKind { kIo, kModel, kInjected, kDelay, kCorrupt,
-                       kKill, kHang, kBabble };
+enum class FaultKind { kIo, kModel, kInjected, kDelay, kCorrupt };
 
 const char* fault_kind_name(FaultKind kind);
 
@@ -104,18 +91,5 @@ void fault_point(const char* site, const std::string& key);
 
 /// True when a corrupt-kind spec fires at `site` for `key`.
 bool fault_corrupt(const char* site, const std::string& key);
-
-/// Verdict of the process-level fault kinds (kill/hang/babble) at a site.
-/// Unlike fault_point(), nothing is thrown or slept here: the caller — the
-/// elastic sweep worker, at site "worker.chunk" keyed by chunk id — is the
-/// one that must die, stall, or babble, because only it knows its own
-/// heartbeat machinery. In-process execution never consults this, so the
-/// controller's fallback path is immune by construction.
-struct ProcessFault {
-  enum class Action { kNone, kKill, kHang, kBabble };
-  Action action = Action::kNone;
-  int delay_ms = 0;  // how long to hang / babble
-};
-ProcessFault process_fault(const char* site, const std::string& key);
 
 }  // namespace musa::verify

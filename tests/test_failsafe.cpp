@@ -164,7 +164,8 @@ TEST(FaultPoint, ParseAcceptsSpecListsAndRejectsMalformed) {
 
   for (const char* bad :
        {"siteonly", "a:b", "a:nokind:0:1", "a:io:0:2.0", "a:io:0:-0.1",
-        "a:io:zzz:1", "a:io:0:1:-2", ":io:0:1", "a:io:0:1:1:extra"})
+        "a:io:zzz:1", "a:io:0:1:-2", ":io:0:1", "a:io:0:1:1:extra",
+        "a:kill:0:1"})
     EXPECT_THROW(verify::FaultPlan::parse(bad), SimError) << bad;
   try {
     verify::FaultPlan::parse("a:nokind:0:1");

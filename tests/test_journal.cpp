@@ -350,13 +350,13 @@ TEST(Journal, AppendMutatorCorruptionIsDetectedOnLoad) {
 }
 
 
-// ---- Strict numeric decode of FAIL / LEASE payloads ------------------------
+// ---- Strict numeric decode of FAIL payloads --------------------------------
 //
-// These records carry counters (attempts, chunk ids, point ranges) that
-// the controller trusts. A record whose checksum is *valid* but whose
+// A FAIL record carries an attempt count that --retry-failed and the
+// quarantine report trust. A record whose checksum is *valid* but whose
 // numeric cell is garbage — a forged or bit-rotted-then-rechecksummed
 // line — must be dropped and counted like any corruption, never decoded
-// as zero (zero is a real chunk id and a real attempt count).
+// as zero (zero is a real attempt count).
 
 /// A correctly checksummed record line for an arbitrary payload — what a
 /// forger (or a buggy external writer) could produce. Mirrors
@@ -407,31 +407,42 @@ TEST(Journal, FailWithMalformedAttemptsIsDroppedNotZeroed) {
   std::remove(path.c_str());
 }
 
-TEST(Journal, LeaseWithMalformedNumericCellsIsDropped) {
-  const std::string path = tmp_path("musa_journal_forge_lease.journal");
+TEST(Journal, RetiredLeaseRecordsAreDroppedAndCompactedAway) {
+  // Journals written while the sweep had a lease-based worker controller
+  // interleave its six-cell lease records with result and FAIL rows. The
+  // record type is retired: every other row must still load, each lease
+  // line counts as dropped, and opening the journal compacts them away.
+  const std::string path = tmp_path("musa_journal_retired_lease.journal");
   std::remove(path.c_str());
-  { ResultJournal j(path, kHeader); }
-  // Cell order: event, chunk, worker, begin, end, detail.
-  append_raw(path,
-             forge_line("LEASE!0", {"granted", "abc", "0", "0", "4", "d"}));
-  append_raw(path,
-             forge_line("LEASE!1", {"granted", "0", "1.5", "0", "4", "d"}));
-  append_raw(path,
-             forge_line("LEASE!2", {"granted", "0", "0", "-1", "4", "d"}));
-  append_raw(path,
-             forge_line("LEASE!3", {"granted", "0", "0", "0", "+4", "d"}));
-  // chunk/worker may legitimately be -1 (sentinels); below that is forged.
-  append_raw(path,
-             forge_line("LEASE!4", {"granted", "-2", "0", "0", "4", "d"}));
-  // And one good line to prove the reader still accepts real records.
-  append_raw(path,
-             forge_line("LEASE!5", {"granted", "-1", "2", "0", "4", "d"}));
+  {
+    ResultJournal j(path, kHeader);
+    j.append("a", {"1", "2", "3"});
+    j.append_fail("q", {"io", "kernel", 3, "boom"});
+  }
+  const std::string lease_key = std::string("LEASE") + "!";
+  append_raw(path, forge_line(lease_key + "0",
+                              {"granted", "0", "1", "0", "4", ""}));
+  append_raw(path, forge_line("b", {"4", "5", "6"}));
+  append_raw(path, forge_line(lease_key + "1",
+                              {"committed", "0", "1", "0", "4", ""}));
   const auto lr = ResultJournal::read(path, kHeader);
-  EXPECT_EQ(lr.dropped, 5u);
-  ASSERT_EQ(lr.leases.size(), 1u);
-  EXPECT_EQ(lr.leases[0].chunk, -1);
-  EXPECT_EQ(lr.leases[0].worker, 2);
-  EXPECT_EQ(lr.leases[0].end, 4u);
+  EXPECT_EQ(lr.dropped, 2u);
+  EXPECT_EQ(lr.entries.size(), 2u);
+  EXPECT_EQ(lr.entries.count("a"), 1u);
+  EXPECT_EQ(lr.entries.count("b"), 1u);
+  ASSERT_EQ(lr.fails.count("q"), 1u);
+  EXPECT_EQ(lr.fails.at("q").attempts, 3);
+  {
+    ResultJournal j(path, kHeader);
+    EXPECT_EQ(j.dropped_on_load(), 2u);
+    EXPECT_EQ(j.size(), 2u);
+    EXPECT_TRUE(j.contains_fail("q"));
+  }
+  EXPECT_EQ(read_file(path).find(lease_key), std::string::npos);
+  const auto compacted = ResultJournal::read(path, kHeader);
+  EXPECT_EQ(compacted.dropped, 0u);
+  EXPECT_EQ(compacted.entries.size(), 2u);
+  EXPECT_EQ(compacted.fails.size(), 1u);
   std::remove(path.c_str());
 }
 

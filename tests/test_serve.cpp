@@ -4,7 +4,7 @@
 // fairness and priority, busy backpressure, fingerprint-keyed cache
 // invalidation across restarts, and the wire-hardening contract (malformed
 // requests earn error replies, babbling clients earn a disconnect; the
-// server never dies).
+// server never dies), down to the LineChannel framing's line cap.
 //
 // Every sweep here is a handful of 40k-instruction points, so the whole
 // file stays in tier-1 time while still exercising the real socket, the
@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "sweep/protocol.hpp"
 
 #ifndef _WIN32
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -452,6 +454,120 @@ TEST(Serve, SpaceQueryPrunesInfeasibleRegionsStatically) {
   EXPECT_EQ(num_field(done, "skipped"), 1.0);
   server.stop();
   EXPECT_EQ(server.stats().computed, 1u);
+}
+
+// ---- LineChannel: malformed-frame hardening (babble cap) -------------------
+//
+// The DSE server puts arbitrary clients on this framing, so the channel
+// enforces kMaxLineBytes — lines beyond it mark the peer babbling and close
+// the connection, with the receive buffer provably bounded throughout.
+
+/// A connected AF_UNIX pair: `writer` sends raw bytes, `ch` is the channel
+/// under test. The channel end is non-blocking, like every poll-driven
+/// channel in the server.
+struct ChannelPair {
+  ChannelPair() {
+    int fds[2] = {-1, -1};
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    EXPECT_EQ(::fcntl(fds[1], F_SETFL, O_NONBLOCK), 0);
+    writer = fds[0];
+    ch = std::make_unique<sweep::LineChannel>(fds[1]);
+  }
+  ~ChannelPair() {
+    if (writer >= 0) ::close(writer);
+  }
+  void write(const std::string& data) {
+    std::size_t off = 0;
+    while (off < data.size()) {
+      const ssize_t n = ::send(writer, data.data() + off, data.size() - off,
+                               MSG_NOSIGNAL);
+      ASSERT_GT(n, 0);
+      off += static_cast<std::size_t>(n);
+    }
+  }
+  int writer = -1;
+  std::unique_ptr<sweep::LineChannel> ch;
+};
+
+TEST(LineChannel, DeliversCompleteLinesAndBuffersThePartialTail) {
+  ChannelPair pair;
+  pair.write("one\ntwo\npart");
+  std::vector<std::string> lines;
+  EXPECT_TRUE(pair.ch->drain(&lines));
+  EXPECT_EQ(lines, (std::vector<std::string>{"one", "two"}));
+  EXPECT_EQ(pair.ch->buffered(), 4u);
+  EXPECT_FALSE(pair.ch->babbling());
+  pair.write("ial\n");
+  lines.clear();
+  EXPECT_TRUE(pair.ch->drain(&lines));
+  EXPECT_EQ(lines, (std::vector<std::string>{"partial"}));
+  EXPECT_EQ(pair.ch->buffered(), 0u);
+}
+
+TEST(LineChannel, LineAtExactlyTheCapIsDelivered) {
+  ChannelPair pair;
+  const std::string max_line(sweep::LineChannel::kMaxLineBytes, 'a');
+  pair.write(max_line + "\n");
+  std::vector<std::string> lines;
+  EXPECT_TRUE(pair.ch->drain(&lines));
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0].size(), sweep::LineChannel::kMaxLineBytes);
+  EXPECT_FALSE(pair.ch->babbling());
+}
+
+TEST(LineChannel, OverlongCompleteLineFlagsBabblingAfterGoodLines) {
+  ChannelPair pair;
+  pair.write("good\n" +
+             std::string(sweep::LineChannel::kMaxLineBytes + 1, 'x') +
+             "\n");
+  std::vector<std::string> lines;
+  EXPECT_FALSE(pair.ch->drain(&lines));
+  // Lines completed before the flood are still delivered; the over-long
+  // one is not, and the channel is closed with its buffer discarded.
+  EXPECT_EQ(lines, (std::vector<std::string>{"good"}));
+  EXPECT_TRUE(pair.ch->babbling());
+  EXPECT_EQ(pair.ch->buffered(), 0u);
+  EXPECT_LT(pair.ch->fd(), 0);
+}
+
+TEST(LineChannel, NewlinelessFloodIsCutOffWithBoundedBuffering) {
+  ChannelPair pair;
+  const std::string chunk(4096, 'z');
+  bool flagged = false;
+  // Feed the flood chunk by chunk, draining as a poll loop would: the
+  // buffer must never exceed the cap at any observation point, and the
+  // channel must flag the peer before the flood grows further.
+  for (int i = 0; i < 64 && !flagged; ++i) {
+    pair.write(chunk);
+    std::vector<std::string> lines;
+    flagged = !pair.ch->drain(&lines);
+    EXPECT_TRUE(lines.empty());
+    EXPECT_LE(pair.ch->buffered(), sweep::LineChannel::kMaxLineBytes);
+  }
+  EXPECT_TRUE(flagged);
+  EXPECT_TRUE(pair.ch->babbling());
+  EXPECT_EQ(pair.ch->buffered(), 0u);
+}
+
+TEST(LineChannel, BlockingReadLineEnforcesTheCapToo) {
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  // Both ends blocking — the client-side read path. The flood is written
+  // in full before the read, so the reader never blocks: the cap trips
+  // first.
+  const std::string flood(sweep::LineChannel::kMaxLineBytes + 1, 'y');
+  std::size_t off = 0;
+  while (off < flood.size()) {
+    const ssize_t n =
+        ::send(fds[0], flood.data() + off, flood.size() - off, MSG_NOSIGNAL);
+    ASSERT_GT(n, 0);
+    off += static_cast<std::size_t>(n);
+  }
+  sweep::LineChannel ch(fds[1]);
+  std::string line;
+  EXPECT_FALSE(ch.read_line(&line));
+  EXPECT_TRUE(ch.babbling());
+  ::close(fds[0]);
 }
 
 }  // namespace

@@ -13,13 +13,7 @@ Journal format (see src/common/journal.cpp):
 
 where <key> is "app|config-id". A key prefixed "FAIL!" is a quarantine
 record: its four cells are {error class, stage, attempts, message}, and a
-good row for the same key (in any journal) supersedes it. A key prefixed
-"LEASE!" is an elastic-controller lease event (DESIGN.md §7h): its six
-cells are {event, chunk, worker, begin, end, detail}. Lease events also
-land in the `<cache>.leases` audit sidecar, which survives finalize; the
-"lease accounting" section below reconciles them — every chunk a lease
-ever touched must end committed, which is what the CI chaos leg greps
-for after kill -9-ing workers mid-sweep.
+good row for the same key (in any journal) supersedes it.
 
 Usage:
   tools/journal_status.py [cache.csv]     # default: dse_cache.csv
@@ -31,11 +25,6 @@ import sys
 
 FULL_PLAN = 864 * 5  # Table I grid x five applications
 FAIL_PREFIX = "FAIL!"  # reserved quarantine-record key prefix
-LEASE_PREFIX = "LEASE!"  # reserved lease-event key prefix
-# Writer vocabulary of src/common/journal.cpp known_lease_event(); an
-# event outside it is writer/reader version skew, same as dse_lint.
-KNOWN_LEASE_EVENTS = {"granted", "revoked", "committed", "spawned",
-                      "respawned", "killed", "inprocess", "abandoned"}
 
 
 def fnv1a64(data: bytes) -> int:
@@ -47,13 +36,12 @@ def fnv1a64(data: bytes) -> int:
 
 
 def read_journal(path):
-    """Return (header, {key: cells}, {key: fail_cells}, [lease_cells],
-    dropped_count)."""
-    entries, fails, leases, dropped = {}, {}, [], 0
+    """Return (header, {key: cells}, {key: fail_cells}, dropped_count)."""
+    entries, fails, dropped = {}, {}, 0
     with open(path, "rb") as f:
         lines = f.read().split(b"\n")
     if len(lines) < 2 or lines[0] != b"musa-journal v1":
-        return None, entries, fails, leases, 0
+        return None, entries, fails, 0
     header = lines[1].decode(errors="replace").split(",")
     for line in lines[2:]:
         if not line:
@@ -73,17 +61,14 @@ def read_journal(path):
                 dropped += 1
                 continue
             fails[key[len(FAIL_PREFIX):]] = cells
-        elif key.startswith(LEASE_PREFIX):
-            if len(cells) != 6:  # {event, chunk, worker, begin, end, detail}
-                dropped += 1
-                continue
-            leases.append(cells)
+        elif len(cells) != len(header):  # a record type this reader lacks
+            dropped += 1
         else:
             entries[key] = cells
     # Good beats FAIL within one journal (order-independent resolution).
     for key in entries:
         fails.pop(key, None)
-    return header, entries, fails, leases, dropped
+    return header, entries, fails, dropped
 
 
 def cache_row_count(path):
@@ -113,23 +98,18 @@ def main():
     else:
         print(f"{cache}: absent")
 
-    union, fail_union, lease_events = {}, {}, []
-    # The lease audit sidecar is journal-format but not a working journal:
-    # it survives finalize, so lease accounting works on a finished sweep.
-    lease_log = cache + ".leases"
-    for path in journals + ([lease_log] if os.path.exists(lease_log) else []):
-        header, entries, fails, leases, dropped = read_journal(path)
+    union, fail_union = {}, {}
+    for path in journals:
+        header, entries, fails, dropped = read_journal(path)
         if header is None:
             print(f"{path}: not a musa journal")
             continue
         note = (f", {dropped} corrupt/truncated record(s) dropped"
                 if dropped else "")
         qnote = f", {len(fails)} quarantined" if fails else ""
-        lnote = f", {len(leases)} lease event(s)" if leases else ""
-        print(f"{path}: {len(entries)} point(s){note}{qnote}{lnote}")
+        print(f"{path}: {len(entries)} point(s){note}{qnote}")
         union.update(entries)
         fail_union.update(fails)
-        lease_events.extend(leases)
 
     # Good beats FAIL across journals too: a point one shard quarantined
     # but a sibling completed is not quarantined.
@@ -156,40 +136,6 @@ def main():
                       f" attempts={attempts} {message}")
     else:
         print("no journals found; nothing in flight")
-
-    if lease_events:
-        # Reconciliation: every chunk a lease ever touched must end with a
-        # committed event — that is the elastic controller's convergence
-        # claim, and what CI asserts after killing workers mid-sweep.
-        by_event = collections.Counter(e[0] for e in lease_events)
-        unknown = sorted({e[0] for e in lease_events} - KNOWN_LEASE_EVENTS)
-        touched, committed = set(), set()
-        for cells in lease_events:
-            event, chunk = cells[0], cells[1]
-            try:
-                c = int(chunk)
-            except ValueError:
-                continue
-            if c < 0:
-                continue  # not chunk-scoped (spawn/kill bookkeeping)
-            if event == "committed":
-                committed.add(c)
-            elif event in ("granted", "revoked", "inprocess"):
-                touched.add(c)
-        unaccounted = sorted(touched - committed)
-        counts = ", ".join(
-            f"{by_event[e]} {e}"
-            for e in ("granted", "revoked", "committed", "spawned",
-                      "respawned", "killed", "inprocess", "abandoned")
-            if by_event[e])
-        verdict = "OK" if not unaccounted and not unknown else "BAD"
-        print(f"\nlease accounting: {counts} -> {verdict}")
-        if unaccounted:
-            print(f"  unaccounted chunk(s): {unaccounted}"
-                  " (touched by a lease but never committed)")
-        if unknown:
-            print(f"  unknown lease event(s): {unknown}"
-                  " (writer/reader version skew)")
 
 
 if __name__ == "__main__":
