@@ -94,16 +94,25 @@ void BM_RuntimeSchedule(benchmark::State& state) {
 }
 BENCHMARK(BM_RuntimeSchedule)->Arg(32)->Arg(64);
 
-void BM_MpiReplay(benchmark::State& state) {
+// Items are replayed trace events, so items/s reads as the per-event cost.
+void BM_MpiReplay(benchmark::State& state, netsim::Topology topology) {
   const apps::AppModel& app = apps::find_app("lulesh");
-  const trace::AppTrace trace = apps::make_burst_trace(app, 256);
-  netsim::DimemasEngine net({});
+  const trace::AppTrace trace =
+      apps::make_burst_trace(app, static_cast<int>(state.range(0)));
+  std::int64_t events = 0;
+  for (const auto& rank : trace.ranks)
+    events += static_cast<std::int64_t>(rank.events.size());
+  netsim::DimemasEngine net({.topology = topology});
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         net.replay(trace, {.region_scale = {0.01}}).total_seconds);
   }
+  state.SetItemsProcessed(state.iterations() * events);
 }
-BENCHMARK(BM_MpiReplay);
+BENCHMARK_CAPTURE(BM_MpiReplay, crossbar, netsim::Topology::kCrossbar)
+    ->ArgName("ranks")->Arg(256)->Arg(2048);
+BENCHMARK_CAPTURE(BM_MpiReplay, torus2d, netsim::Topology::kTorus2D)
+    ->ArgName("ranks")->Arg(256)->Arg(2048);
 
 void BM_FullPipeline(benchmark::State& state) {
   const apps::AppModel& app = apps::find_app("btmz");

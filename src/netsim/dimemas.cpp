@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
-#include <unordered_map>
+#include <string>
 
 #include "common/check.hpp"
 #include "common/deadline.hpp"
+#include "common/flat_table.hpp"
 #include "common/rng.hpp"
 
 namespace musa::netsim {
@@ -22,10 +22,6 @@ double jitter_factor(int rank, int idx, double sigma) {
   return std::max(0.3, rng.next_normal(1.0, sigma));
 }
 
-struct Message {
-  double arrival = 0.0;
-};
-
 struct Collective {
   int entered = 0;
   double max_enter = 0.0;
@@ -33,17 +29,59 @@ struct Collective {
 };
 
 struct PendingReq {
+  int id = -1;
   bool is_recv = false;
   int peer = -1;
   double completion = -1.0;  // resolved completion; < 0 = unmatched recv
 };
 
+/// Arrival times of the messages in flight on one (src, dst) channel, in
+/// send order. Consumed from `head`; a drained channel resets so its
+/// capacity is reused by the next message.
+struct Channel {
+  std::vector<double> arrivals;
+  std::size_t head = 0;
+
+  bool empty() const { return head == arrivals.size(); }
+  double pop() {
+    const double a = arrivals[head++];
+    if (head == arrivals.size()) {
+      arrivals.clear();
+      head = 0;
+    }
+    return a;
+  }
+};
+
+/// Why a rank stopped short of the end of its trace.
+enum class Block : std::uint8_t { kNone, kChannel, kCollective };
+
 struct RankState {
   std::size_t ip = 0;   // next event index
   double t = 0.0;
   bool done = false;
+  Block block = Block::kNone;
+  int blocked_src = -1;  // sender of the channel a kChannel block waits on
   int collectives_crossed = 0;
-  std::unordered_map<int, PendingReq> reqs;
+  // Collective whose entry this rank has registered but not yet crossed: a
+  // rank revisits its blocking event when woken, and must count once.
+  int entered_collective = -1;
+  std::vector<PendingReq> reqs;  // in-flight requests (2-4 in practice)
+
+  PendingReq* find_req(int id) {
+    for (auto& q : reqs)
+      if (q.id == id) return &q;
+    return nullptr;
+  }
+
+  /// Posts `req`, replacing an in-flight request with the same id.
+  void post_req(const PendingReq& req) {
+    if (PendingReq* old = find_req(req.id)) {
+      *old = req;
+    } else {
+      reqs.push_back(req);
+    }
+  }
 };
 
 int ceil_log2(int p) {
@@ -71,11 +109,15 @@ ReplayResult DimemasEngine::replay(const trace::AppTrace& app,
   };
 
   std::vector<RankState> st(P);
-  // Per (src,dst) in-flight message queues; key = src * P + dst.
-  std::unordered_map<std::int64_t, std::deque<Message>> channels;
+  // Per (src,dst) in-flight message queues, created on first use; the
+  // table maps key src * P + dst to 1 + the index into `channels` (0, the
+  // value a new slot starts with, means "not created yet").
+  std::vector<Channel> channels;
+  FlatTable64<std::uint32_t> channel_of(4 * static_cast<std::size_t>(P));
   std::vector<double> out_link_free(P, 0.0);
   std::vector<Collective> collectives;
   double bus_free = 0.0;  // shared medium (Topology::kBus only)
+  const HopMetric topo(config_.topology, P);
 
   ReplayResult result;
   result.ranks.resize(P);
@@ -86,6 +128,16 @@ ReplayResult DimemasEngine::replay(const trace::AppTrace& app,
     if (options.record_timeline && end > start)
       result.timeline.push_back(
           {.rank = rank, .start = start, .end = end, .kind = k});
+  };
+
+  auto channel = [&](int src, int dst) -> Channel& {
+    std::uint32_t& idx =
+        channel_of.find_or_insert(static_cast<std::uint64_t>(src) * P + dst);
+    if (idx == 0) {
+      channels.emplace_back();
+      idx = static_cast<std::uint32_t>(channels.size());
+    }
+    return channels[idx - 1];
   };
 
   // Sender-side transfer: serialises on the rank's output link (and, for a
@@ -103,164 +155,200 @@ ReplayResult DimemasEngine::replay(const trace::AppTrace& app,
       bus_free = start + inject;
     }
     out_link_free[src] = start + inject;
-    const int hops = hop_count(config_.topology, src, dst, P);
-    const double arrival = start + config_.latency_s * hops + inject;
+    const double arrival =
+        start + config_.latency_s * topo.hops(src, dst) + inject;
     sender_continue = bytes <= config_.eager_threshold ? start + inject
                                                        : arrival;
     return arrival;
   };
 
-  bool all_done = false;
-  while (!all_done) {
-    deadline::poll();
-    bool progress = false;
-    all_done = true;
+  // Woken-rank pass schedule (DESIGN.md §7j). Each pass visits the
+  // ranks in `visit` in increasing rank order; a visit advances the rank
+  // until it blocks or drains. A blocked rank is visited again only once
+  // something it waits on changes: a message posted on its channel, its
+  // collective completing, or its channel's sender finishing. A rank woken
+  // by rank r joins the current pass if it comes after r and the next pass
+  // otherwise, so the ranks that change state do so in the same order as a
+  // scan of every rank on every pass would produce.
+  const std::size_t words = (static_cast<std::size_t>(P) + 63) / 64;
+  std::vector<std::uint64_t> visit(words, 0), visit_next(words, 0);
+  for (int r = 0; r < P; ++r) visit[r / 64] |= 1ull << (r % 64);
+  std::vector<int> channel_waiters(P, 0);  // kChannel blocks per sender
+  int running = 0;                         // the rank being advanced
 
-    for (int r = 0; r < P; ++r) {
-      RankState& s = st[r];
-      if (s.done) continue;
-      const auto& events = app.ranks[r].events;
+  auto wake = [&](int q) {
+    RankState& w = st[q];
+    if (w.block == Block::kNone) return;
+    if (w.block == Block::kChannel) --channel_waiters[w.blocked_src];
+    w.block = Block::kNone;
+    auto& set = q > running ? visit : visit_next;
+    set[q / 64] |= 1ull << (q % 64);
+  };
+  auto block_on_channel = [&](RankState& s, int src) {
+    s.block = Block::kChannel;
+    s.blocked_src = src;
+    ++channel_waiters[src];
+  };
 
-      // Advance this rank until it blocks or drains.
-      while (s.ip < events.size()) {
-        const trace::BurstEvent& e = events[s.ip];
+  auto advance = [&](int r) {
+    RankState& s = st[r];
+    const auto& events = app.ranks[r].events;
 
-        if (e.kind == trace::BurstEvent::Kind::kCompute) {
-          const double d = e.seconds * scale_of(e.region_id) *
-                           jitter_factor(r, static_cast<int>(s.ip),
-                                         options.region_jitter_sigma);
-          push_seg(r, s.t, s.t + d, RankSeg::Kind::kCompute);
-          result.ranks[r].compute_s += d;
-          s.t += d;
-          ++s.ip;
-          progress = true;
-          continue;
-        }
+    while (s.ip < events.size()) {
+      const trace::BurstEvent& e = events[s.ip];
 
-        const double entry = s.t;
-        bool blocked = false;
-        switch (e.op) {
-          case trace::MpiOp::kSend:
-          case trace::MpiOp::kIsend: {
-            double cont = entry;
-            const double arrival = transmit(r, e.peer, entry, e.bytes, cont);
-            channels[static_cast<std::int64_t>(r) * P + e.peer].push_back(
-                {arrival});
-            if (e.op == trace::MpiOp::kSend) {
-              s.t = cont;
-            } else {
-              // Isend returns immediately; Wait resolves at `cont`.
-              s.reqs[e.req] = {.is_recv = false, .peer = e.peer,
-                               .completion = cont};
-            }
-            break;
-          }
-          case trace::MpiOp::kRecv: {
-            auto& q = channels[static_cast<std::int64_t>(e.peer) * P + r];
-            if (q.empty()) {
-              if (st[e.peer].done)
-                throw SimError("Recv with no matching Send in trace");
-              blocked = true;
-              break;
-            }
-            s.t = std::max(entry, q.front().arrival);
-            q.pop_front();
-            break;
-          }
-          case trace::MpiOp::kIrecv: {
-            // Never blocks: try to bind a message now; otherwise resolve at
-            // the matching Wait.
-            auto& q = channels[static_cast<std::int64_t>(e.peer) * P + r];
-            PendingReq req{.is_recv = true, .peer = e.peer};
-            if (!q.empty()) {
-              req.completion = q.front().arrival;
-              q.pop_front();
-            }
-            s.reqs[e.req] = req;
-            break;
-          }
-          case trace::MpiOp::kWait: {
-            auto it = s.reqs.find(e.req);
-            MUSA_CHECK_MSG(it != s.reqs.end(), "Wait on unknown request");
-            PendingReq& req = it->second;
-            if (req.is_recv && req.completion < 0) {
-              auto& q =
-                  channels[static_cast<std::int64_t>(req.peer) * P + r];
-              if (q.empty()) {
-                if (st[req.peer].done)
-                  throw SimError("Wait(recv) with no matching Send");
-                blocked = true;
-                break;
-              }
-              req.completion = q.front().arrival;
-              q.pop_front();
-            }
-            s.t = std::max(entry, req.completion);
-            s.reqs.erase(it);
-            break;
-          }
-          case trace::MpiOp::kAllreduce:
-          case trace::MpiOp::kBarrier: {
-            const int k = s.collectives_crossed;
-            if (static_cast<std::size_t>(k) >= collectives.size())
-              collectives.resize(k + 1);
-            Collective& col = collectives[k];
-            // Count this rank's entry exactly once across re-tries (a
-            // blocked rank revisits the same event on every pass; the
-            // sentinel request id marks "entry already registered").
-            if (!s.reqs.count(-1000 - k)) {
-              s.reqs[-1000 - k] = {};  // sentinel: entry registered
-              ++col.entered;
-              col.max_enter = std::max(col.max_enter, entry);
-              if (col.entered == P) {
-                // Tree collectives: each of the log2(P) stages crosses the
-                // topology (diameter hops at worst in the upper stages).
-                const int dia = diameter(config_.topology, P);
-                const double step =
-                    e.op == trace::MpiOp::kAllreduce
-                        ? 2.0 * tree_depth * config_.transfer_s(e.bytes, dia)
-                        : 1.0 * tree_depth * config_.latency_s * dia;
-                col.completion = col.max_enter + step;
-              }
-            }
-            if (col.completion < 0) {
-              blocked = true;
-              break;
-            }
-            s.reqs.erase(-1000 - k);
-            ++s.collectives_crossed;
-            s.t = std::max(entry, col.completion);
-            break;
-          }
-        }
-
-        if (blocked) break;
-
-        // Account MPI time and advance.
-        const bool collective = e.op == trace::MpiOp::kAllreduce ||
-                                e.op == trace::MpiOp::kBarrier;
-        const double waited = s.t - entry;
-        if (collective) {
-          result.ranks[r].collective_s += waited;
-          push_seg(r, entry, s.t, RankSeg::Kind::kCollective);
-        } else {
-          result.ranks[r].p2p_s += waited;
-          push_seg(r, entry, s.t, RankSeg::Kind::kP2p);
-        }
+      if (e.kind == trace::BurstEvent::Kind::kCompute) {
+        const double d = e.seconds * scale_of(e.region_id) *
+                         jitter_factor(r, static_cast<int>(s.ip),
+                                       options.region_jitter_sigma);
+        push_seg(r, s.t, s.t + d, RankSeg::Kind::kCompute);
+        result.ranks[r].compute_s += d;
+        s.t += d;
         ++s.ip;
-        progress = true;
+        continue;
       }
 
-      if (s.ip >= events.size() && !s.done) {
-        s.done = true;
-        result.ranks[r].finish_s = s.t;
-        progress = true;
+      const bool collective = e.op == trace::MpiOp::kAllreduce ||
+                              e.op == trace::MpiOp::kBarrier;
+      // Wait's own peer is unused: its request's peer was checked at post.
+      if (!collective && e.op != trace::MpiOp::kWait &&
+          (e.peer < 0 || e.peer >= P))
+        throw SimError(std::string(trace::mpi_op_name(e.op)) + " on rank " +
+                       std::to_string(r) + ": peer " +
+                       std::to_string(e.peer) + " outside [0, " +
+                       std::to_string(P) + ")");
+
+      const double entry = s.t;
+      switch (e.op) {
+        case trace::MpiOp::kSend:
+        case trace::MpiOp::kIsend: {
+          double cont = entry;
+          const double arrival = transmit(r, e.peer, entry, e.bytes, cont);
+          channel(r, e.peer).arrivals.push_back(arrival);
+          if (st[e.peer].block == Block::kChannel &&
+              st[e.peer].blocked_src == r)
+            wake(e.peer);
+          if (e.op == trace::MpiOp::kSend) {
+            s.t = cont;
+          } else {
+            // Isend returns immediately; Wait resolves at `cont`.
+            s.post_req({.id = e.req, .is_recv = false, .peer = e.peer,
+                        .completion = cont});
+          }
+          break;
+        }
+        case trace::MpiOp::kRecv: {
+          Channel& q = channel(e.peer, r);
+          if (q.empty()) {
+            if (st[e.peer].done)
+              throw SimError("Recv with no matching Send in trace");
+            block_on_channel(s, e.peer);
+            return;
+          }
+          s.t = std::max(entry, q.pop());
+          break;
+        }
+        case trace::MpiOp::kIrecv: {
+          // Never blocks: try to bind a message now; otherwise resolve at
+          // the matching Wait.
+          Channel& q = channel(e.peer, r);
+          PendingReq req{.id = e.req, .is_recv = true, .peer = e.peer};
+          if (!q.empty()) req.completion = q.pop();
+          s.post_req(req);
+          break;
+        }
+        case trace::MpiOp::kWait: {
+          PendingReq* req = s.find_req(e.req);
+          MUSA_CHECK_MSG(req != nullptr, "Wait on unknown request");
+          if (req->is_recv && req->completion < 0) {
+            Channel& q = channel(req->peer, r);
+            if (q.empty()) {
+              if (st[req->peer].done)
+                throw SimError("Wait(recv) with no matching Send");
+              block_on_channel(s, req->peer);
+              return;
+            }
+            req->completion = q.pop();
+          }
+          s.t = std::max(entry, req->completion);
+          *req = s.reqs.back();
+          s.reqs.pop_back();
+          break;
+        }
+        case trace::MpiOp::kAllreduce:
+        case trace::MpiOp::kBarrier: {
+          const int k = s.collectives_crossed;
+          if (static_cast<std::size_t>(k) >= collectives.size())
+            collectives.resize(k + 1);
+          Collective& col = collectives[k];
+          if (s.entered_collective != k) {
+            s.entered_collective = k;
+            ++col.entered;
+            col.max_enter = std::max(col.max_enter, entry);
+            if (col.entered == P) {
+              // Tree collectives: each of the log2(P) stages crosses the
+              // topology (diameter hops at worst in the upper stages).
+              const int dia = topo.diameter();
+              const double step =
+                  e.op == trace::MpiOp::kAllreduce
+                      ? 2.0 * tree_depth * config_.transfer_s(e.bytes, dia)
+                      : 1.0 * tree_depth * config_.latency_s * dia;
+              col.completion = col.max_enter + step;
+              // Every other rank entered earlier and is blocked here.
+              for (int q = 0; q < P; ++q)
+                if (q != r) wake(q);
+            }
+          }
+          if (col.completion < 0) {
+            s.block = Block::kCollective;
+            return;
+          }
+          ++s.collectives_crossed;
+          s.t = std::max(entry, col.completion);
+          break;
+        }
       }
-      all_done = all_done && s.done;
+
+      // Account MPI time and advance.
+      const double waited = s.t - entry;
+      if (collective) {
+        result.ranks[r].collective_s += waited;
+        push_seg(r, entry, s.t, RankSeg::Kind::kCollective);
+      } else {
+        result.ranks[r].p2p_s += waited;
+        push_seg(r, entry, s.t, RankSeg::Kind::kP2p);
+      }
+      ++s.ip;
     }
 
-    if (!all_done && !progress)
+    s.done = true;
+    result.ranks[r].finish_s = s.t;
+    // Ranks still blocked on a channel from r can never receive: wake them
+    // so their next visit reports the unmatched receive.
+    if (channel_waiters[r] > 0)
+      for (int q = 0; q < P; ++q)
+        if (st[q].block == Block::kChannel && st[q].blocked_src == r) wake(q);
+  };
+
+  int remaining = P;
+  while (true) {
+    deadline::poll();
+    for (std::size_t w = 0; w < words; ++w) {
+      // Re-read the word after each visit: a visit may wake later ranks
+      // of this word into the current pass.
+      while (visit[w] != 0) {
+        const int bit = __builtin_ctzll(visit[w]);
+        visit[w] &= visit[w] - 1;
+        running = static_cast<int>(w * 64) + bit;
+        advance(running);
+        if (st[running].done) --remaining;
+      }
+    }
+    if (remaining == 0) break;
+    if (std::all_of(visit_next.begin(), visit_next.end(),
+                    [](std::uint64_t w) { return w == 0; }))
       throw SimError("MPI replay deadlock: no rank can progress");
+    visit.swap(visit_next);
   }
 
   for (const auto& rs : result.ranks)

@@ -9,9 +9,12 @@
 // (paper §II "Simulation").
 //
 // The engine is a multi-pass coroutine-style simulator: each rank advances
-// until it blocks on an unmatched message or an incomplete collective; the
-// driver loops until all ranks drain (a non-progressing pass indicates an
-// inconsistent trace and raises SimError).
+// until it blocks on an unmatched message or an incomplete collective, and
+// is visited again only once a message, a collective completion or its
+// sender's exit wakes it, in the order a scan of every rank would reach it
+// (DESIGN.md §7j). The driver loops until all ranks drain; a pass that
+// wakes nobody while ranks remain indicates an inconsistent trace and
+// raises SimError.
 #pragma once
 
 #include <cstdint>

@@ -1,59 +1,35 @@
 #include "netsim/topology.hpp"
 
-#include <algorithm>
-
 #include "common/check.hpp"
 
 namespace musa::netsim {
 
-namespace {
-/// Smallest g with g*g >= nodes: the torus grid edge.
-int grid_edge(int nodes) {
-  int g = 1;
-  while (g * g < nodes) ++g;
-  return g;
-}
-
-int torus_axis_distance(int a, int b, int edge) {
-  const int d = std::abs(a - b);
-  return std::min(d, edge - d);
-}
-}  // namespace
-
-int hop_count(Topology topology, int src, int dst, int nodes) {
+HopMetric::HopMetric(Topology topology, int nodes) : topology_(topology) {
   MUSA_CHECK_MSG(nodes >= 1, "topology needs at least one node");
-  MUSA_CHECK_MSG(src >= 0 && src < nodes && dst >= 0 && dst < nodes,
-                 "rank out of range for topology");
-  if (src == dst) return 0;
+  while (edge_ * edge_ < nodes) ++edge_;
   switch (topology) {
     case Topology::kCrossbar:
     case Topology::kBus:
-      return 1;
-    case Topology::kTorus2D: {
-      const int edge = grid_edge(nodes);
-      const int dx = torus_axis_distance(src % edge, dst % edge, edge);
-      const int dy = torus_axis_distance(src / edge, dst / edge, edge);
-      return std::max(1, dx + dy);
-    }
+      diameter_ = 1;
+      break;
+    case Topology::kTorus2D:
+      diameter_ = std::max(1, 2 * (edge_ / 2));
+      break;
     case Topology::kFatTree:
-      return src / kFatTreeRadix == dst / kFatTreeRadix ? 2 : 4;
+      diameter_ = nodes <= kFatTreeRadix ? 2 : 4;
+      break;
   }
-  return 1;
+}
+
+int hop_count(Topology topology, int src, int dst, int nodes) {
+  const HopMetric metric(topology, nodes);
+  MUSA_CHECK_MSG(src >= 0 && src < nodes && dst >= 0 && dst < nodes,
+                 "rank out of range for topology");
+  return metric.hops(src, dst);
 }
 
 int diameter(Topology topology, int nodes) {
-  switch (topology) {
-    case Topology::kCrossbar:
-    case Topology::kBus:
-      return 1;
-    case Topology::kTorus2D: {
-      const int edge = grid_edge(nodes);
-      return std::max(1, 2 * (edge / 2));
-    }
-    case Topology::kFatTree:
-      return nodes <= kFatTreeRadix ? 2 : 4;
-  }
-  return 1;
+  return HopMetric(topology, nodes).diameter();
 }
 
 }  // namespace musa::netsim

@@ -1,6 +1,11 @@
 // Unit tests for the Dimemas-style MPI replay engine.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
+#include "apps/apps.hpp"
 #include "common/check.hpp"
 #include "netsim/dimemas.hpp"
 #include "trace/burst.hpp"
@@ -181,15 +186,6 @@ TEST(Dimemas, TimelineRecordsSegments) {
   EXPECT_TRUE(collective_seen);
 }
 
-TEST(Dimemas, DetectsUnmatchedRecv) {
-  AppTrace t = two_ranks();
-  t.ranks[0].events.push_back(BurstEvent::mpi(MpiOp::kRecv, 1, 64));
-  // Rank 1 never sends.
-  t.ranks[1].events.push_back(BurstEvent::compute(0.1, 0));
-  DimemasEngine net(fast_net());
-  EXPECT_THROW(net.replay(t, {}), SimError);
-}
-
 TEST(Dimemas, AccountsComputeAndMpiSeparately) {
   AppTrace t = two_ranks();
   t.ranks[0].events.push_back(BurstEvent::compute(1.0, 0));
@@ -201,6 +197,163 @@ TEST(Dimemas, AccountsComputeAndMpiSeparately) {
   EXPECT_NEAR(r.total_compute(), 4.0, 1e-6);
   EXPECT_NEAR(r.ranks[0].collective_s, 2.0, 0.01);
   EXPECT_NEAR(r.total_mpi(), 2.0, 0.05);
+}
+
+/// The SimError message of replaying `t`, or "no error".
+std::string replay_error(const AppTrace& t) {
+  try {
+    DimemasEngine(fast_net()).replay(t, {});
+  } catch (const SimError& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(Dimemas, DetectsUnmatchedRecv) {
+  // The receiver blocks first and the silent sender finishes later in the
+  // same pass (receiver rank 0), or the sender has already finished when
+  // the receiver gets there (receiver rank 1).
+  for (int recv_rank : {0, 1}) {
+    AppTrace t = two_ranks();
+    t.ranks[recv_rank].events.push_back(
+        BurstEvent::mpi(MpiOp::kRecv, 1 - recv_rank, 64));
+    t.ranks[1 - recv_rank].events.push_back(BurstEvent::compute(0.1, 0));
+    EXPECT_EQ(replay_error(t), "Recv with no matching Send in trace")
+        << "receiver rank " << recv_rank;
+  }
+}
+
+TEST(Dimemas, DetectsUnmatchedWaitRecv) {
+  for (int recv_rank : {0, 1}) {
+    AppTrace t = two_ranks();
+    auto& ev = t.ranks[recv_rank].events;
+    ev.push_back(BurstEvent::mpi(MpiOp::kIrecv, 1 - recv_rank, 64, 0));
+    ev.push_back(BurstEvent::mpi(MpiOp::kWait, 1 - recv_rank, 0, 0));
+    t.ranks[1 - recv_rank].events.push_back(BurstEvent::compute(0.1, 0));
+    EXPECT_EQ(replay_error(t), "Wait(recv) with no matching Send")
+        << "receiver rank " << recv_rank;
+  }
+}
+
+TEST(Dimemas, ReportsDeadlock) {
+  // Each rank receives before it sends: neither can ever progress.
+  AppTrace t = two_ranks();
+  for (int r = 0; r < 2; ++r) {
+    t.ranks[r].events.push_back(BurstEvent::mpi(MpiOp::kRecv, 1 - r, 64));
+    t.ranks[r].events.push_back(BurstEvent::mpi(MpiOp::kSend, 1 - r, 64));
+  }
+  EXPECT_EQ(replay_error(t), "MPI replay deadlock: no rank can progress");
+}
+
+TEST(Dimemas, RejectsOutOfRangePeer) {
+  // Every point-to-point op is checked before its peer indexes anything.
+  for (int bad : {2, -1}) {
+    AppTrace recv = two_ranks();
+    recv.ranks[0].events.push_back(BurstEvent::mpi(MpiOp::kRecv, bad, 64));
+    AppTrace irecv = two_ranks();
+    irecv.ranks[0].events.push_back(
+        BurstEvent::mpi(MpiOp::kIrecv, bad, 64, 0));
+    irecv.ranks[0].events.push_back(BurstEvent::mpi(MpiOp::kWait, bad, 0, 0));
+    AppTrace isend = two_ranks();
+    isend.ranks[1].events.push_back(
+        BurstEvent::mpi(MpiOp::kIsend, bad, 64, 0));
+    isend.ranks[1].events.push_back(BurstEvent::mpi(MpiOp::kWait, bad, 0, 0));
+    for (const AppTrace* t : {&recv, &irecv, &isend}) {
+      const std::string msg = replay_error(*t);
+      EXPECT_NE(msg.find("peer " + std::to_string(bad) + " outside [0, 2)"),
+                std::string::npos)
+          << msg;
+    }
+  }
+}
+
+// --- Golden pins -----------------------------------------------------------
+// Bit-exact results of a replay that visits every unfinished rank, in rank
+// order, on every pass. They pin the order in which ranks change state:
+// the bus topology's shared medium and an Irecv that binds its message at
+// post time both depend on it (DESIGN.md §7j).
+
+/// FNV-1a over the bit patterns of every rank's finish, compute, p2p and
+/// collective times, in rank order.
+std::uint64_t rank_stats_digest(const ReplayResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const RankStats& s : r.ranks)
+    for (double v : {s.finish_s, s.compute_s, s.p2p_s, s.collective_s}) {
+      h ^= std::bit_cast<std::uint64_t>(v);
+      h *= 0x100000001b3ull;
+    }
+  return h;
+}
+
+TEST(Dimemas, GoldenLulesh64EveryTopology) {
+  const AppTrace t = apps::make_burst_trace(apps::find_app("lulesh"), 64);
+  struct Pin {
+    Topology topology;
+    double total_seconds;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {Topology::kCrossbar, 0x1.3a2f96f30e9bap-2, 0x964fc3092f0f0970ull},
+      {Topology::kBus, 0x1.6c2b060433acdp-2, 0x7f72a8dd6de9dcbaull},
+      {Topology::kTorus2D, 0x1.3bbd218aacb26p-2, 0xa07c610c157f0677ull},
+      {Topology::kFatTree, 0x1.3ade2d73ef00fp-2, 0xe7ee31c919cf6f15ull},
+  };
+  for (const Pin& pin : pins) {
+    NetworkConfig cfg;
+    cfg.topology = pin.topology;
+    const ReplayResult r =
+        DimemasEngine(cfg).replay(t, {.region_jitter_sigma = 0.2});
+    EXPECT_EQ(r.total_seconds, pin.total_seconds)
+        << topology_name(pin.topology);
+    EXPECT_EQ(rank_stats_digest(r), pin.digest) << topology_name(pin.topology);
+  }
+}
+
+TEST(Dimemas, GoldenIrecvThenRecvFromSamePeer) {
+  // Rank 0 posts Irecv(1) before rank 1 has sent, so the Irecv stays
+  // unbound and the following Recv(1) takes rank 1's first message; the
+  // Wait then binds the second. Irecv(2) is posted after rank 2 has sent
+  // both its messages (though before either arrives), so it binds the
+  // first at post time and Recv(2) waits for the later second one.
+  AppTrace t;
+  t.ranks.resize(3);
+  for (int i = 0; i < 3; ++i) t.ranks[i].rank = i;
+  auto& r0 = t.ranks[0].events;
+  r0.push_back(BurstEvent::mpi(MpiOp::kIrecv, 1, 512, 0));
+  r0.push_back(BurstEvent::mpi(MpiOp::kRecv, 1, 512));
+  r0.push_back(BurstEvent::compute(0.01, 0));
+  r0.push_back(BurstEvent::mpi(MpiOp::kWait, 1, 0, 0));
+  r0.push_back(BurstEvent::mpi(MpiOp::kIrecv, 2, 1 << 20, 1));
+  r0.push_back(BurstEvent::compute(0.001, 0));
+  r0.push_back(BurstEvent::mpi(MpiOp::kRecv, 2, 1 << 20));
+  r0.push_back(BurstEvent::compute(0.0005, 0));
+  r0.push_back(BurstEvent::mpi(MpiOp::kWait, 2, 0, 1));
+  auto& r1 = t.ranks[1].events;
+  r1.push_back(BurstEvent::compute(0.002, 0));
+  r1.push_back(BurstEvent::mpi(MpiOp::kSend, 0, 512));
+  r1.push_back(BurstEvent::compute(0.001, 0));
+  r1.push_back(BurstEvent::mpi(MpiOp::kSend, 0, 40000));  // rendezvous
+  auto& r2 = t.ranks[2].events;
+  r2.push_back(BurstEvent::compute(0.02, 0));
+  r2.push_back(BurstEvent::mpi(MpiOp::kSend, 0, 1 << 20));
+  r2.push_back(BurstEvent::mpi(MpiOp::kSend, 0, 1 << 20));
+
+  const ReplayResult r = DimemasEngine(NetworkConfig{}).replay(t, {});
+  EXPECT_EQ(r.total_seconds, 0x1.52c8d29a191e5p-6);
+  const RankStats want[3] = {
+      {.compute_s = 0x1.78d4fdf3b645ap-7, .p2p_s = 0x1.2cbca7407bf6fp-7,
+       .collective_s = 0.0, .finish_s = 0x1.52c8d29a191e5p-6},
+      {.compute_s = 0x1.89374bc6a7efap-9, .p2p_s = 0x1.47390ac9c3ep-18,
+       .collective_s = 0.0, .finish_s = 0x1.89dae84c0cd19p-9},
+      {.compute_s = 0x1.47ae147ae147bp-6, .p2p_s = 0x1.74cb9adf80dp-13,
+       .collective_s = 0.0, .finish_s = 0x1.4a97abb0a0495p-6},
+  };
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(r.ranks[i].finish_s, want[i].finish_s) << "rank " << i;
+    EXPECT_EQ(r.ranks[i].compute_s, want[i].compute_s) << "rank " << i;
+    EXPECT_EQ(r.ranks[i].p2p_s, want[i].p2p_s) << "rank " << i;
+    EXPECT_EQ(r.ranks[i].collective_s, want[i].collective_s) << "rank " << i;
+  }
 }
 
 class RankCountSweep : public ::testing::TestWithParam<int> {};
