@@ -204,7 +204,8 @@ void print_report(const musa::core::SweepReport& rep) {
     line("burst", m.burst_hits, m.burst_misses);
     line("region", m.region_hits, m.region_misses);
     line("trace", m.trace_hits, m.trace_misses);
-    line("stream", m.stream_hits, m.stream_misses);
+    line("fused ops", m.stream_hits, m.stream_misses);
+    line("mem outcome", m.outcome_hits, m.outcome_misses);
     line("warm state", m.warm_hits, m.warm_misses);
     line("perfect mem", m.perfect_hits, m.perfect_misses);
   }

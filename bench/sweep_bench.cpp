@@ -14,10 +14,11 @@
 // across all four (the memo's core contract; tracing and the batched block
 // replay must never perturb results either), and reports wall time,
 // points/s, the per-stage and worker-occupancy breakdown, the memo hit
-// rates, the tracing overhead ratio (the DESIGN.md §7e budget: armed
-// tracing within ~2% of untraced), and kernel_speedup — the kernel-stage
-// time of the single-step reference over the batched block path
-// (DESIGN.md §7f).
+// rates (fused-op stream, cache outcomes, warm state and the rest), the
+// tracing overhead ratio (the DESIGN.md §7e budget: armed tracing within
+// ~2% of untraced), and kernel_speedup — the kernel-stage time of the
+// live single-step reference over the memoized block replay (DESIGN.md
+// §7f, §7k).
 //
 // Usage: sweep_bench [--check-regression BASELINE.json] [output.json]
 //   (output defaults to BENCH_sweep.json; --help prints usage, and any
@@ -128,12 +129,13 @@ void json_run(std::FILE* f, const char* name, const Run& r) {
   std::fprintf(
       f,
       ",\n    \"memo_hit_rate\": {\"burst\": %.4f, \"region\": %.4f, "
-      "\"trace\": %.4f, \"stream\": %.4f, \"warm\": %.4f, "
-      "\"perfect\": %.4f, \"overall\": %.4f}\n  }",
+      "\"trace\": %.4f, \"stream\": %.4f, \"outcome\": %.4f, "
+      "\"warm\": %.4f, \"perfect\": %.4f, \"overall\": %.4f}\n  }",
       MemoStats::rate(m.burst_hits, m.burst_misses),
       MemoStats::rate(m.region_hits, m.region_misses),
       MemoStats::rate(m.trace_hits, m.trace_misses),
       MemoStats::rate(m.stream_hits, m.stream_misses),
+      MemoStats::rate(m.outcome_hits, m.outcome_misses),
       MemoStats::rate(m.warm_hits, m.warm_misses),
       MemoStats::rate(m.perfect_hits, m.perfect_misses),
       MemoStats::rate(m.total_hits(), m.total_misses()));
@@ -251,8 +253,8 @@ int main(int argc, char** argv) {
   const double speedup = memo.wall_s > 0 ? plain.wall_s / memo.wall_s : 0.0;
   const double trace_overhead =
       memo.wall_s > 0 ? traced.wall_s / memo.wall_s : 0.0;
-  // Kernel-stage time of the single-step reference over the batched block
-  // path — same memo state, same results, only the replay loop differs.
+  // Kernel-stage time of the single-step reference over the memoized block
+  // path — same results; the reference fuses and walks the caches live.
   const double kernel_speedup =
       memo.report.stages.kernel_s > 0
           ? reference.report.stages.kernel_s / memo.report.stages.kernel_s

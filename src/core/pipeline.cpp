@@ -77,6 +77,18 @@ void functional_warm(trace::InstrSource& source,
   }
 }
 
+/// Consumes exactly `instrs` instructions of `source` without looking at
+/// them: the source ends where functional_warm leaves it.
+void skip_instrs(trace::InstrSource& source, std::uint64_t instrs) {
+  const isa::Instr* block = nullptr;
+  std::size_t n;
+  while (instrs > 0 && (n = source.take_block(
+                            &block, static_cast<std::size_t>(instrs))) > 0)
+    instrs -= n;
+  for (isa::Instr in; instrs > 0 && source.next(in); --instrs) {
+  }
+}
+
 /// Seconds of wall time since `t0`, advancing `t0` to now — one call per
 /// stage boundary turns a time point into a stage duration.
 double lap_s(std::chrono::steady_clock::time_point& t0) {
@@ -232,24 +244,9 @@ Pipeline::DetailedTiming Pipeline::simulate_kernel(
   const cpusim::CoreRunOptions measure_opts{
       .vector_bits = config.vector_bits,
       .single_step = options_.single_step_core};
-  const cpusim::CoreRunOptions perfect_opts{
-      .vector_bits = config.vector_bits,
-      .perfect_memory = true,
-      .single_step = options_.single_step_core};
-
-  // The perfect-memory attribution run converges on a quarter slice, but
-  // the slice must never round down to zero instructions (measure_instrs
-  // < 4): a 0-budget stream would make perfect_cpi 0/0 = NaN, and the
-  // mem_stall_frac clamp on NaN is unspecified.
-  const std::uint64_t perfect_slice =
-      std::max<std::uint64_t>(1, options_.measure_instrs / 4);
-  auto perfect_cpi_of = [&](const cpusim::CoreStats& pstats) {
-    if (pstats.scalar_instrs == 0)
-      throw SimError("perfect-memory run produced no instructions at point " +
-                         app.name + "|" + config.id(),
-                     ErrorClass::kConfig, "kernel");
-    return pstats.cycles / static_cast<double>(pstats.scalar_instrs);
-  };
+  const std::uint64_t kernel_seed = options_.seed * 7919 + 17;
+  const std::uint64_t kernel_budget =
+      options_.warm_instrs + options_.measure_instrs;
 
   // --- Measured run (after cache warm-up) --------------------------------
   // The detailed simulation models one core of the node, so it sees its
@@ -259,61 +256,40 @@ Pipeline::DetailedTiming Pipeline::simulate_kernel(
   // buy more MLP on saturated channels) then emerges inside the DRAM model
   // itself rather than from an analytic correction.
   cpusim::CoreStats stats;
-  double perfect_cpi = 0.0;
-  if (memo_) {
-    // Memoized path: replay the materialized per-(app, phase) stream, start
-    // the measured run from the memoized post-warm-up cache snapshot, and
-    // reuse the perfect-memory CPI across the dimensions it ignores. Every
-    // reused value is bit-identical to what the branch below recomputes
-    // (stage_memo.hpp explains why), as TestStageMemo proves.
-    const StageMemo::KernelStreams& streams =
-        memo_->streams(app, phase_index, [&] {
-          StageMemo::KernelStreams s;
-          trace::KernelSource full(
-              profile, options_.warm_instrs + options_.measure_instrs,
-              options_.seed * 7919 + 17);
-          for (isa::Instr in; full.next(in);) s.full.push_back(in);
-          trace::KernelSource perfect(profile, perfect_slice,
-                                      options_.seed * 7919 + 17);
-          for (isa::Instr in; perfect.next(in);) s.perfect.push_back(in);
-          return s;
+  if (memo_ && !options_.single_step_core) {
+    // Memoized path (DESIGN.md §7k): the measured run's fused ops and
+    // cache outcomes depend on no timing input, so they come from the memo
+    // and only the timing half runs here, against this point's DRAM. The
+    // warm hierarchy and a regenerated kernel stream are needed only to
+    // fill a missing entry. Every reused value is bit-identical to what the
+    // branch below recomputes (stage_memo.hpp explains why), as
+    // TestStageMemo proves. The single-step reference stays on the branch
+    // below: it is the live path by definition.
+    const cpusim::FusedOpTrace& ops = memo_->fused_ops(
+        app, phase_index, config.vector_bits, [&] {
+          trace::KernelSource source(profile, kernel_budget, kernel_seed);
+          // Positioned exactly where functional_warm leaves the stream.
+          skip_instrs(source, options_.warm_instrs);
+          return cpusim::fuse_ops(source, config.vector_bits);
         });
-    MUSA_DCHECK_MSG(streams.full.size() >= options_.warm_instrs,
-                    "kernel stream shorter than the warm-up slice");
-
-    const MemoKey wkey = StageMemo::warm_key(app, phase_index, caches);
-    const cachesim::MemHierarchy* snapshot = memo_->find_warm(wkey);
-    cachesim::MemHierarchy hierarchy =
-        snapshot ? *snapshot : cachesim::MemHierarchy(caches);
-    if (snapshot == nullptr) {
-      trace::SpanSource warm_source(streams.full);
-      functional_warm(warm_source, hierarchy, options_.warm_instrs);
-      hierarchy.reset_stats();
-      memo_->store_warm(wkey, hierarchy);
-    }
-
-    cpusim::CoreModel core(config.core, freq, hierarchy, dram);
-    // Positioned exactly where functional_warm left the generator stream.
-    trace::SpanSource source(streams.full, options_.warm_instrs);
-    stats = core.run(source, measure_opts);
-
-    // --- Perfect-memory run (memory stall attribution) -------------------
-    perfect_cpi = memo_->perfect_cpi(
-        app, phase_index, config.core, config.vector_bits, [&] {
-          cachesim::MemHierarchy perfect_hierarchy(caches);
-          dramsim::DramSystem perfect_dram(
-              dramsim::timing_for(config.mem_tech), 1);
-          trace::SpanSource psource(streams.perfect);
-          cpusim::CoreModel pcore(config.core, freq, perfect_hierarchy,
-                                  perfect_dram);
-          const cpusim::CoreStats pstats = pcore.run(psource, perfect_opts);
-          return perfect_cpi_of(pstats);
+    const cpusim::MemOutcomeTrace& outcomes = memo_->mem_outcomes(
+        app, phase_index, config.vector_bits, caches, [&] {
+          cachesim::MemHierarchy hierarchy =
+              memo_->warm_state(app, phase_index, caches, [&] {
+                cachesim::MemHierarchy warm(caches);
+                trace::KernelSource source(profile, kernel_budget,
+                                           kernel_seed);
+                functional_warm(source, warm, options_.warm_instrs);
+                warm.reset_stats();
+                return warm;
+              });
+          return cpusim::record_outcomes(ops, hierarchy);
         });
+    cpusim::CoreModel core(config.core, freq, dram);
+    stats = core.replay(ops, outcomes, measure_opts);
   } else {
     cachesim::MemHierarchy hierarchy(caches);
-    trace::KernelSource source(
-        profile, options_.warm_instrs + options_.measure_instrs,
-        options_.seed * 7919 + 17);
+    trace::KernelSource source(profile, kernel_budget, kernel_seed);
     cpusim::CoreModel core(config.core, freq, hierarchy, dram);
 
     functional_warm(source, hierarchy, options_.warm_instrs);
@@ -321,17 +297,37 @@ Pipeline::DetailedTiming Pipeline::simulate_kernel(
     dram.reset_counters();
 
     stats = core.run(source, measure_opts);
+  }
 
-    // --- Perfect-memory run (memory stall attribution) -------------------
-    // A quarter slice converges: the perfect-memory CPI is stationary.
+  // --- Perfect-memory run (memory stall attribution) ---------------------
+  // A quarter slice converges: the perfect-memory CPI is stationary. It
+  // must never round down to zero instructions (measure_instrs < 4): a
+  // 0-budget stream would make perfect_cpi 0/0 = NaN, and the
+  // mem_stall_frac clamp on NaN is unspecified.
+  auto perfect_run = [&] {
+    const cpusim::CoreRunOptions perfect_opts{
+        .vector_bits = config.vector_bits,
+        .perfect_memory = true,
+        .single_step = options_.single_step_core};
     cachesim::MemHierarchy ph(caches);  // untouched under perfect_memory
     dramsim::DramSystem pd(dramsim::timing_for(config.mem_tech), 1);
-    trace::KernelSource psource(profile, perfect_slice,
-                                options_.seed * 7919 + 17);
+    trace::KernelSource psource(
+        profile, std::max<std::uint64_t>(1, options_.measure_instrs / 4),
+        kernel_seed);
     cpusim::CoreModel pcore(config.core, freq, ph, pd);
     const cpusim::CoreStats pstats = pcore.run(psource, perfect_opts);
-    perfect_cpi = perfect_cpi_of(pstats);
-  }
+    if (pstats.scalar_instrs == 0)
+      throw SimError("perfect-memory run produced no instructions at point " +
+                         app.name + "|" + config.id(),
+                     ErrorClass::kConfig, "kernel");
+    return pstats.cycles / static_cast<double>(pstats.scalar_instrs);
+  };
+  // Perfect memory never consults caches or DRAM, so the memo shares it
+  // across the frequency and memory axes.
+  const double perfect_cpi =
+      memo_ ? memo_->perfect_cpi(app, phase_index, config.core,
+                                 config.vector_bits, perfect_run)
+            : perfect_run();
   MUSA_CHECK_MSG(stats.scalar_instrs > 0, "kernel produced no instructions");
 
   DetailedTiming out;

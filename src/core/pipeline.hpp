@@ -103,11 +103,12 @@ struct PipelineOptions {
   std::uint64_t seed = 1;
   /// Force the core model's retained single-step reference path instead of
   /// the batched block replay. Results are bit-identical either way (the
-  /// equivalence property test proves it per core run; sweep_bench proves
-  /// it across the full space) — this knob exists so sweep_bench can
-  /// measure the block path's kernel-stage speedup against the reference.
-  /// Deliberately excluded from the options fingerprint: memoized stage
-  /// values do not depend on it.
+  /// equivalence property tests prove it per core run; sweep_bench proves
+  /// it on its sweep) — this knob exists so sweep_bench can measure the
+  /// kernel stage against the reference. The reference is live by
+  /// definition, so it also bypasses the memoized fused-op and cache-outcome
+  /// halves of the measured run (DESIGN.md §7k). Deliberately excluded from
+  /// the options fingerprint: memoized stage values do not depend on it.
   bool single_step_core = false;
 };
 
@@ -119,10 +120,11 @@ std::uint64_t pipeline_options_fingerprint(const PipelineOptions& options);
 
 class Pipeline {
  public:
-  /// With a `memo`, the redundant stages (burst pre-pass, kernel stream
-  /// generation, cache warm-up state, perfect-memory run, region/trace
-  /// building) are shared across every Pipeline attached to the same memo
-  /// — bit-identical results, see stage_memo.hpp. Without one, every
+  /// With a `memo`, the redundant stages (burst pre-pass, the measured
+  /// run's fused ops and cache outcomes, cache warm-up state,
+  /// perfect-memory run, region/trace building) are shared across every
+  /// Pipeline attached to the same memo — bit-identical results, see
+  /// stage_memo.hpp. Without one, every
   /// stage recomputes per point exactly as before (`run_dse --no-memo`).
   explicit Pipeline(PipelineOptions options = {},
                     std::shared_ptr<StageMemo> memo = nullptr);

@@ -5,16 +5,27 @@
 //
 //   * region / burst-trace generation   — keyed (app, phase) / (app, ranks);
 //   * the burst pre-pass concurrency    — keyed (app, cores): 3 values/app;
-//   * the materialized kernel stream    — keyed (app, phase): the
-//     KernelSource is deterministic in (profile, budget, seed), none of
-//     which vary across machine configurations;
+//   * the measured run's fused-op stream (the "stream" table) — keyed
+//     (app, phase, vector width): the KernelSource is deterministic in
+//     (profile, budget, seed), none of which vary across machine
+//     configurations, and vector fusion is a pure function of the stream
+//     and the width;
+//   * the measured run's cache outcomes (the "outcome" table) — keyed
+//     (app, phase, vector width, exact scaled hierarchy geometry): cache
+//     lookups take no time input, so which ops leave the L1 fast path and
+//     where each of their lines is served from never depend on the core,
+//     the frequency or the DRAM system (DESIGN.md §7k);
 //   * the post-warm-up cache state      — keyed (app, phase, exact scaled
 //     hierarchy geometry): the functional warm-up touches the hierarchy
 //     with a fixed address stream, so its end state is a pure function of
-//     the cache geometry (12 distinct states per app-phase, not 864);
+//     the cache geometry. Only an outcome-table miss consults it;
 //   * the perfect-memory CPI            — keyed (app, phase, core preset,
 //     vector width): perfect memory never consults caches or DRAM, so
 //     frequency / memory-technology / channel dimensions cancel out.
+//
+// A memoized point therefore runs only the timing half of its measured
+// run: CoreModel::replay over the stream and outcome entries, against the
+// point's own DRAM system.
 //
 // Every memoized value is the bit-exact result the non-memoized path would
 // compute (same constructors, same seeds, same arithmetic), which is what
@@ -39,7 +50,7 @@
 #include "apps/apps.hpp"
 #include "cachesim/hierarchy.hpp"
 #include "cpusim/core_config.hpp"
-#include "isa/instr.hpp"
+#include "cpusim/measured_trace.hpp"
 
 namespace musa::core {
 
@@ -93,17 +104,18 @@ struct MemoStats {
   std::uint64_t region_hits = 0, region_misses = 0;
   std::uint64_t trace_hits = 0, trace_misses = 0;
   std::uint64_t burst_hits = 0, burst_misses = 0;
-  std::uint64_t stream_hits = 0, stream_misses = 0;
+  std::uint64_t stream_hits = 0, stream_misses = 0;    // fused-op stream
+  std::uint64_t outcome_hits = 0, outcome_misses = 0;  // cache outcomes
   std::uint64_t warm_hits = 0, warm_misses = 0;
   std::uint64_t perfect_hits = 0, perfect_misses = 0;
 
   std::uint64_t total_hits() const {
-    return region_hits + trace_hits + burst_hits + stream_hits + warm_hits +
-           perfect_hits;
+    return region_hits + trace_hits + burst_hits + stream_hits +
+           outcome_hits + warm_hits + perfect_hits;
   }
   std::uint64_t total_misses() const {
     return region_misses + trace_misses + burst_misses + stream_misses +
-           warm_misses + perfect_misses;
+           outcome_misses + warm_misses + perfect_misses;
   }
   static double rate(std::uint64_t hits, std::uint64_t misses) {
     const std::uint64_t n = hits + misses;
@@ -113,15 +125,6 @@ struct MemoStats {
 
 class StageMemo {
  public:
-  /// The kernel streams a (app, phase) pair ever needs: the warm+measure
-  /// stream and the quarter-slice perfect-memory stream. Both are drained
-  /// from KernelSources built with the same arguments the non-memoized
-  /// path uses, so replaying them through SpanSource is bit-identical.
-  struct KernelStreams {
-    std::vector<isa::Instr> full;
-    std::vector<isa::Instr> perfect;
-  };
-
   /// `options_fingerprint` identifies the PipelineOptions every user of
   /// this memo must share (seed, slice sizes, cache scale — see
   /// pipeline_options_fingerprint in pipeline.hpp); Pipeline refuses to
@@ -141,6 +144,8 @@ class StageMemo {
     s.burst_misses = burst_misses_.load(std::memory_order_relaxed);
     s.stream_hits = stream_hits_.load(std::memory_order_relaxed);
     s.stream_misses = stream_misses_.load(std::memory_order_relaxed);
+    s.outcome_hits = outcome_hits_.load(std::memory_order_relaxed);
+    s.outcome_misses = outcome_misses_.load(std::memory_order_relaxed);
     s.warm_hits = warm_hits_.load(std::memory_order_relaxed);
     s.warm_misses = warm_misses_.load(std::memory_order_relaxed);
     s.perfect_hits = perfect_hits_.load(std::memory_order_relaxed);
@@ -175,12 +180,43 @@ class StageMemo {
                   burst_hits_, burst_misses_, std::forward<Fn>(compute));
   }
 
+  /// The fused ops of the measured run at `vector_bits`.
   template <typename Fn>
-  const KernelStreams& streams(const apps::AppModel& app, std::size_t phase,
-                               Fn&& compute) {
+  const cpusim::FusedOpTrace& fused_ops(const apps::AppModel& app,
+                                        std::size_t phase, int vector_bits,
+                                        Fn&& compute) {
     return lookup("stream", streams_mu_, streams_,
-                  MemoKey{app_fingerprint(app), phase}, stream_hits_,
-                  stream_misses_, std::forward<Fn>(compute));
+                  MemoKey{app_fingerprint(app),
+                          fnv1a_bytes(&vector_bits, sizeof(vector_bits),
+                                      fnv1a_bytes(&phase, sizeof(phase)))},
+                  stream_hits_, stream_misses_, std::forward<Fn>(compute));
+  }
+
+  /// Cache outcomes of the measured run at `vector_bits` against the warm
+  /// hierarchy of geometry `caches` (which already folds in the
+  /// active-core L3 share, itself a function of (app, cores)).
+  template <typename Fn>
+  const cpusim::MemOutcomeTrace& mem_outcomes(
+      const apps::AppModel& app, std::size_t phase, int vector_bits,
+      const cachesim::HierarchyConfig& caches, Fn&& compute) {
+    std::uint64_t tag = hierarchy_fingerprint(caches);
+    tag = fnv1a_bytes(&phase, sizeof(phase), tag);
+    tag = fnv1a_bytes(&vector_bits, sizeof(vector_bits), tag);
+    return lookup("outcome", outcomes_mu_, outcomes_,
+                  MemoKey{app_fingerprint(app), tag}, outcome_hits_,
+                  outcome_misses_, std::forward<Fn>(compute));
+  }
+
+  /// The hierarchy after functional warm-up + reset_stats.
+  template <typename Fn>
+  const cachesim::MemHierarchy& warm_state(
+      const apps::AppModel& app, std::size_t phase,
+      const cachesim::HierarchyConfig& caches, Fn&& compute) {
+    return lookup("warm", warm_mu_, warm_,
+                  MemoKey{app_fingerprint(app),
+                          fnv1a_bytes(&phase, sizeof(phase),
+                                      hierarchy_fingerprint(caches))},
+                  warm_hits_, warm_misses_, std::forward<Fn>(compute));
   }
 
   /// CPI of the perfect-memory run (stall attribution baseline).
@@ -194,39 +230,6 @@ class StageMemo {
     return lookup("perfect", perfect_mu_, perfect_,
                   MemoKey{app_fingerprint(app), tag}, perfect_hits_,
                   perfect_misses_, std::forward<Fn>(compute));
-  }
-
-  /// Key for the post-warm-up hierarchy snapshot: app, phase and the exact
-  /// scaled cache geometry (which already folds in the active-core L3
-  /// share, itself a function of (app, cores)).
-  static MemoKey warm_key(const apps::AppModel& app, std::size_t phase,
-                          const cachesim::HierarchyConfig& caches) {
-    return {app_fingerprint(app),
-            fnv1a_bytes(&phase, sizeof(phase), hierarchy_fingerprint(caches))};
-  }
-
-  /// Snapshot of the hierarchy after functional warm-up + reset_stats, or
-  /// nullptr (counted as a miss — the caller warms and store_warm()s).
-  /// The pointer stays valid while other threads insert: unordered_map
-  /// never relocates node storage.
-  const cachesim::MemHierarchy* find_warm(const MemoKey& key) {
-    {
-      std::shared_lock lock(warm_mu_);
-      auto it = warm_.find(key);
-      if (it != warm_.end()) {
-        warm_hits_.fetch_add(1, std::memory_order_relaxed);
-        memo_hit("warm");
-        return &it->second;
-      }
-    }
-    warm_misses_.fetch_add(1, std::memory_order_relaxed);
-    memo_miss("warm");
-    return nullptr;
-  }
-
-  void store_warm(const MemoKey& key, const cachesim::MemHierarchy& state) {
-    std::unique_lock lock(warm_mu_);
-    warm_.try_emplace(key, state);  // first wins; identical anyway
   }
 
  private:
@@ -256,11 +259,13 @@ class StageMemo {
   std::uint64_t options_fp_;
 
   std::shared_mutex regions_mu_, traces_mu_, burst_mu_, streams_mu_,
-      warm_mu_, perfect_mu_;
+      outcomes_mu_, warm_mu_, perfect_mu_;
   std::unordered_map<MemoKey, trace::Region, MemoKeyHash> regions_;
   std::unordered_map<MemoKey, trace::AppTrace, MemoKeyHash> traces_;
   std::unordered_map<MemoKey, double, MemoKeyHash> burst_;
-  std::unordered_map<MemoKey, KernelStreams, MemoKeyHash> streams_;
+  std::unordered_map<MemoKey, cpusim::FusedOpTrace, MemoKeyHash> streams_;
+  std::unordered_map<MemoKey, cpusim::MemOutcomeTrace, MemoKeyHash>
+      outcomes_;
   std::unordered_map<MemoKey, cachesim::MemHierarchy, MemoKeyHash> warm_;
   std::unordered_map<MemoKey, double, MemoKeyHash> perfect_;
 
@@ -268,6 +273,7 @@ class StageMemo {
   std::atomic<std::uint64_t> trace_hits_{0}, trace_misses_{0};
   std::atomic<std::uint64_t> burst_hits_{0}, burst_misses_{0};
   std::atomic<std::uint64_t> stream_hits_{0}, stream_misses_{0};
+  std::atomic<std::uint64_t> outcome_hits_{0}, outcome_misses_{0};
   std::atomic<std::uint64_t> warm_hits_{0}, warm_misses_{0};
   std::atomic<std::uint64_t> perfect_hits_{0}, perfect_misses_{0};
 };

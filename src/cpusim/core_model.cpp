@@ -26,6 +26,15 @@ constexpr double kExecLatency[isa::kNumOpClasses] = {1.0,  3.0, 3.0, 4.0,
 CoreModel::CoreModel(const CoreConfig& config, Frequency freq,
                      cachesim::MemHierarchy& hierarchy,
                      dramsim::DramSystem& dram, int core_id)
+    : CoreModel(config, freq, &hierarchy, dram, core_id) {}
+
+CoreModel::CoreModel(const CoreConfig& config, Frequency freq,
+                     dramsim::DramSystem& dram)
+    : CoreModel(config, freq, nullptr, dram, 0) {}
+
+CoreModel::CoreModel(const CoreConfig& config, Frequency freq,
+                     cachesim::MemHierarchy* hierarchy,
+                     dramsim::DramSystem& dram, int core_id)
     : config_(config),
       freq_(freq),
       hierarchy_(hierarchy),
@@ -105,30 +114,27 @@ double CoreModel::mem_access(std::uint64_t addr, std::int64_t stride,
   //
   // Phase split: the coalesced line list goes through the hierarchy in one
   // batched walk, then DRAM/prefetcher effects are applied per line in the
-  // original order. Cache state is touched only by phase 1 and DRAM/
-  // prefetcher state only by phase 2, and each phase preserves the per-line
-  // order, so the split is outcome-identical to the interleaved loop.
-  line_addrs_.clear();
-  std::uint64_t prev_line = ~0ull;
-  for (int lane = 0; lane < lanes; ++lane) {
-    const std::uint64_t a =
-        addr +
-        static_cast<std::uint64_t>(static_cast<std::int64_t>(lane) * stride);
-    const std::uint64_t line = a / cachesim::kLineBytes;
-    if (line == prev_line) continue;  // coalesced with the previous lane
-    prev_line = line;
-    line_addrs_.push_back(a);
-  }
+  // original order (settle_lines). Cache state is touched only by phase 1
+  // and DRAM/prefetcher state only by phase 2, and each phase preserves the
+  // per-line order, so the split is outcome-identical to the interleaved
+  // loop — and phase 1, which takes no time input, can be recorded once
+  // and replayed (record_outcomes / replay).
+  coalesce_lines(addr, stride, lanes, line_addrs_);
   const std::size_t n = line_addrs_.size();
-  if (n == 0) return hierarchy_.config().l1.latency_cycles;
+  if (n == 0) return hierarchy_->config().l1.latency_cycles;
   line_outcomes_.resize(n);
-  hierarchy_.access_block(core_id_, line_addrs_.data(), n, is_write,
-                          line_outcomes_.data());
+  hierarchy_->access_block(core_id_, line_addrs_.data(), n, is_write,
+                           line_outcomes_.data());
+  return settle_lines(n, issue_cycle, stats);
+}
 
+double CoreModel::settle_lines(std::size_t n, double issue_cycle,
+                               CoreStats& stats) {
+  MUSA_DCHECK_MSG(n >= 1 && n <= line_outcomes_.size(), "no lines to settle");
   const bool prefetch_on = prefetch_enabled_;
   const double period = freq_.period_ns();
   const double issue_ns = issue_cycle * period;
-  double lead = -1.0;
+  double lead = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     const cachesim::MemOutcome& out = line_outcomes_[i];
     double lat = out.latency_cycles;
@@ -177,9 +183,9 @@ double CoreModel::mem_access(std::uint64_t addr, std::int64_t stride,
       // this instruction.
       dram_.request(issue_ns, out.wb_addr, /*is_write=*/true);
     }
-    if (lead < 0) lead = lat;
+    if (i == 0) lead = lat;
   }
-  return lead < 0 ? hierarchy_.config().l1.latency_cycles : lead;
+  return lead;
 }
 
 void CoreModel::reset_rings(double t0) {
@@ -188,19 +194,180 @@ void CoreModel::reset_rings(double t0) {
     std::fill(v->begin(), v->end(), t0);
 }
 
-CoreStats CoreModel::run(trace::InstrSource& source,
-                         const CoreRunOptions& options) {
-  prefetch_enabled_ = options.enable_prefetcher;
-  // The block path reads the source ahead of what it retires, so any run
-  // that can stop early (instruction or cycle bound) and expects the source
-  // positioned at the stop point must single-step: node_detailed resumes
-  // cores from a shared source across time quanta.
-  const bool single_step = options.single_step ||
-                           options.max_scalar_instrs != 0 ||
-                           options.max_cycle != 0.0;
-  return single_step ? run_single_step(source, options)
-                     : run_blocked(source, options);
+// ---- Memory-resolution policies of the block loop ------------------------
+//
+// run_blocked() asks its policy for the next columns of ops (next), for the
+// load-to-use latency of a memory op in them (latency), and at the end for
+// the activity and cache statistics (finish). The live policy fuses and
+// walks the caches as it goes; the recorded one reads both from a trace.
+
+struct CoreModel::OpColumns {
+  const isa::OpClass* cls = nullptr;
+  const std::uint8_t* dst = nullptr;
+  const std::uint8_t* src1 = nullptr;
+  const std::uint8_t* src2 = nullptr;
+  std::size_t size = 0;
+};
+
+namespace {
+void set_cache_stats(CoreStats& stats, const cachesim::CacheStats& l1,
+                     const cachesim::CacheStats& l2,
+                     const cachesim::CacheStats& l3) {
+  stats.l1_accesses = l1.accesses;
+  stats.l1_misses = l1.misses;
+  stats.l2_accesses = l2.accesses;
+  stats.l2_misses = l2.misses;
+  stats.l3_accesses = l3.accesses;
+  stats.l3_misses = l3.misses;
 }
+}  // namespace
+
+/// Fuses the source block by block and resolves each memory op against the
+/// hierarchy: the L1 fast path, else mem_access.
+class CoreModel::LiveMemory {
+ public:
+  LiveMemory(CoreModel& core, trace::InstrSource& source, int vector_bits)
+      : core_(core),
+        fusion_(source, vector_bits),
+        l1_(core.hierarchy_->l1_cache(core.core_id_)),
+        l1_lat_(core.hierarchy_->config().l1.latency_cycles) {}
+
+  double l1_latency() const { return l1_lat_; }
+
+  bool next(OpColumns& ops) {
+    if (!fusion_.next_block(block_)) return false;
+    // Per-class tallies are a pure function of the block's columns: count
+    // them in their own tight pass so the timing loop carries no counter
+    // read-modify-writes.
+    for (std::size_t i = 0; i < block_.size; ++i) {
+      const auto ci = static_cast<std::size_t>(block_.cls[i]);
+      const std::uint16_t lanes = block_.lanes[i];
+      scalar_instrs_ += lanes;
+      ++class_ops_[ci];
+      class_lanes_[ci] += lanes;
+    }
+    ops = {block_.cls.data(), block_.dst.data(), block_.src1.data(),
+           block_.src2.data(), block_.size};
+    return true;
+  }
+
+  double latency(std::size_t i, double start, bool is_store,
+                 CoreStats& stats) {
+    // Memory fast path: when every lane of the fused op falls into one
+    // cache line (the overwhelming replay case — unit strides coalesce,
+    // scalar ops are single-lane) and that line hits L1, the access is
+    // fully resolved right here: the L1 probe performs the exact access()
+    // hit side effects and nothing downstream (L2/L3, DRAM, prefetcher)
+    // would have been touched anyway. Any other case — multi-line, L1
+    // miss — takes the generic path, which starts from the same cache
+    // state because a failed probe changes nothing.
+    const std::uint64_t a = block_.addr[i];
+    const std::int64_t stride = block_.stride[i];
+    const int lanes = block_.lanes[i];
+    if (on_one_line(a, stride, lanes) && l1_.try_hit(a, is_store))
+      return l1_lat_;
+    return core_.mem_access(a, stride, lanes, start, is_store, stats);
+  }
+
+  void finish(CoreStats& stats) const {
+    stats.scalar_instrs = scalar_instrs_;
+    stats.class_ops = class_ops_;
+    stats.class_lanes = class_lanes_;
+    const cachesim::MemHierarchy& h = *core_.hierarchy_;
+    set_cache_stats(stats, h.total_l1_stats(), h.total_l2_stats(),
+                    h.l3_stats());
+  }
+
+ private:
+  CoreModel& core_;
+  isa::VectorFusion fusion_;
+  isa::FusedBlock block_;
+  cachesim::Cache& l1_;
+  double l1_lat_;
+  std::uint64_t scalar_instrs_ = 0;
+  std::array<std::uint64_t, isa::kNumOpClasses> class_ops_{};
+  std::array<std::uint64_t, isa::kNumOpClasses> class_lanes_{};
+};
+
+/// Walks a FusedOpTrace in block-sized slices and resolves each memory op
+/// from its MemOutcomeTrace: ops not in slow_ops took the L1 fast path;
+/// the others' lines are decoded into the core's line scratch and settled
+/// against this core's DRAM system and prefetcher.
+class CoreModel::RecordedMemory {
+ public:
+  RecordedMemory(CoreModel& core, const FusedOpTrace& ops,
+                 const MemOutcomeTrace& outcomes)
+      : core_(core),
+        ops_(ops),
+        out_(outcomes),
+        l1_lat_(outcomes.latency_cycles[0]) {
+    next_slow_ = out_.slow_ops.empty() ? kNoOp : out_.slow_ops[0];
+  }
+
+  double l1_latency() const { return l1_lat_; }
+
+  bool next(OpColumns& ops) {
+    if (pos_ >= ops_.size()) return false;
+    base_ = pos_;
+    const std::size_t n =
+        std::min<std::size_t>(isa::FusedBlock::kCapacity, ops_.size() - pos_);
+    ops = {ops_.cls.data() + pos_, ops_.dst.data() + pos_,
+           ops_.src1.data() + pos_, ops_.src2.data() + pos_, n};
+    pos_ += n;
+    return true;
+  }
+
+  double latency(std::size_t i, double start, bool /*is_store*/,
+                 CoreStats& stats) {
+    if (base_ + i != next_slow_) return l1_lat_;
+    std::vector<cachesim::MemOutcome>& outs = core_.line_outcomes_;
+    std::vector<std::uint64_t>& addrs = core_.line_addrs_;
+    outs.clear();
+    addrs.clear();
+    std::uint8_t code;
+    do {
+      code = out_.lines[line_++];
+      cachesim::MemOutcome o;
+      o.level = static_cast<cachesim::HitLevel>(code &
+                                                MemOutcomeTrace::kLevelMask);
+      o.latency_cycles =
+          out_.latency_cycles[static_cast<std::size_t>(o.level)];
+      o.dram_read = o.level == cachesim::HitLevel::kMemory;
+      o.dram_writebacks = code >> MemOutcomeTrace::kWritebackShift &
+                          MemOutcomeTrace::kWritebackMask;
+      if (o.dram_writebacks > 0) o.wb_addr = out_.wb_addrs[wb_++];
+      outs.push_back(o);
+      addrs.push_back(o.dram_read ? out_.dram_addrs[dram_++] : 0);
+    } while ((code & MemOutcomeTrace::kLastLine) == 0);
+    ++slow_;
+    next_slow_ =
+        slow_ < out_.slow_ops.size() ? out_.slow_ops[slow_] : kNoOp;
+    return core_.settle_lines(outs.size(), start, stats);
+  }
+
+  void finish(CoreStats& stats) const {
+    MUSA_CHECK_MSG(slow_ == out_.slow_ops.size() &&
+                       line_ == out_.lines.size() &&
+                       dram_ == out_.dram_addrs.size() &&
+                       wb_ == out_.wb_addrs.size(),
+                   "memory outcome trace does not belong to this op trace");
+    stats.scalar_instrs = ops_.scalar_instrs;
+    stats.class_ops = ops_.class_ops;
+    stats.class_lanes = ops_.class_lanes;
+    set_cache_stats(stats, out_.l1, out_.l2, out_.l3);
+  }
+
+ private:
+  static constexpr std::size_t kNoOp = ~std::size_t{0};
+
+  CoreModel& core_;
+  const FusedOpTrace& ops_;
+  const MemOutcomeTrace& out_;
+  double l1_lat_;
+  std::size_t pos_ = 0, base_ = 0;  // next op; first op of current slice
+  std::size_t next_slow_;
+  std::size_t slow_ = 0, line_ = 0, dram_ = 0, wb_ = 0;  // cursors
+};
 
 CoreStats CoreModel::run_single_step(trace::InstrSource& source,
                                      const CoreRunOptions& options) {
@@ -282,7 +449,7 @@ CoreStats CoreModel::run_single_step(trace::InstrSource& source,
     switch (cls) {
       case isa::OpClass::kLoad: {
         const double lat = options.perfect_memory
-                               ? hierarchy_.config().l1.latency_cycles
+                               ? hierarchy_->config().l1.latency_cycles
                                : mem_access(op.first.addr, op.stride, op.lanes,
                                             start, /*is_write=*/false, stats);
         complete = start + lat;
@@ -293,7 +460,7 @@ CoreStats CoreModel::run_single_step(trace::InstrSource& source,
         // The buffered store drains to memory after commit; the entry is
         // held until the write completes.
         const double drain = options.perfect_memory
-                                 ? hierarchy_.config().l1.latency_cycles
+                                 ? hierarchy_->config().l1.latency_cycles
                                  : mem_access(op.first.addr, op.stride,
                                               op.lanes, start,
                                               /*is_write=*/true, stats);
@@ -336,20 +503,16 @@ CoreStats CoreModel::run_single_step(trace::InstrSource& source,
   }
 
   stats.cycles = last_commit - t0;
-  stats.l1_accesses = hierarchy_.total_l1_stats().accesses;
-  stats.l1_misses = hierarchy_.total_l1_stats().misses;
-  stats.l2_accesses = hierarchy_.total_l2_stats().accesses;
-  stats.l2_misses = hierarchy_.total_l2_stats().misses;
-  stats.l3_accesses = hierarchy_.l3_stats().accesses;
-  stats.l3_misses = hierarchy_.l3_stats().misses;
+  set_cache_stats(stats, hierarchy_->total_l1_stats(),
+                  hierarchy_->total_l2_stats(), hierarchy_->l3_stats());
   stats.dram = dram_.total_counters();
   return stats;
 }
 
-CoreStats CoreModel::run_blocked(trace::InstrSource& source,
+template <class Memory>
+CoreStats CoreModel::run_blocked(Memory& memory,
                                  const CoreRunOptions& options) {
   CoreStats stats;
-  isa::VectorFusion fusion(source, options.vector_bits);
 
   const double t0 = options.start_cycle;
   // Scoreboard extended with a dead slot so src reads are unconditional:
@@ -382,39 +545,22 @@ CoreStats CoreModel::run_blocked(trace::InstrSource& source,
                                             fpu, lsu, lsu, alu};
 
   const double dispatch_step = 1.0 / config_.issue_width;
-  const double l1_lat = hierarchy_.config().l1.latency_cycles;
+  const double l1_lat = memory.l1_latency();
   const bool perfect = options.perfect_memory;
-  cachesim::Cache& l1 = hierarchy_.l1_cache(core_id_);
   double last_dispatch = t0;
   double last_commit = t0;
   const std::size_t rob_n = rob_release_.size(), irf_n = irf_release_.size(),
                     frf_n = frf_release_.size(), sb_n = sb_release_.size();
   std::size_t rob_i = 0, irf_i = 0, frf_i = 0, sb_i = 0;
-  // Per-class tallies in locals whose address never escapes (unlike
-  // `stats`, which is handed to mem_access and so lives in memory): the
-  // three per-op counter bumps stay register-resident across the loop.
-  std::uint64_t scalar_instrs = 0;
-  std::array<std::uint64_t, isa::kNumOpClasses> class_ops{};
-  std::array<std::uint64_t, isa::kNumOpClasses> class_lanes{};
 
-  isa::FusedBlock block;
-  while (fusion.next_block(block)) {
-    // One watchdog poll and one fusion call per block, not per op.
+  OpColumns ops;
+  while (memory.next(ops)) {
+    // One watchdog poll and one policy call per block, not per op.
     deadline::poll();
-    // Per-class tallies are a pure function of the block's columns: count
-    // them in their own tight pass so the timing loop below carries no
-    // counter read-modify-writes.
-    for (std::size_t i = 0; i < block.size; ++i) {
-      const auto ci = static_cast<std::size_t>(block.cls[i]);
-      const std::uint16_t lanes = block.lanes[i];
-      scalar_instrs += lanes;
-      ++class_ops[ci];
-      class_lanes[ci] += lanes;
-    }
-    for (std::size_t i = 0; i < block.size; ++i) {
-      const isa::OpClass cls = block.cls[i];
+    for (std::size_t i = 0; i < ops.size; ++i) {
+      const isa::OpClass cls = ops.cls[i];
       const auto ci = static_cast<std::size_t>(cls);
-      const std::uint8_t dst = block.dst[i];
+      const std::uint8_t dst = ops.dst[i];
 
       // ---- Dispatch ----
       // Branchless gates: a constraint that does not apply resolves to t0,
@@ -437,8 +583,8 @@ CoreStats CoreModel::run_blocked(trace::InstrSource& source,
 
       // ---- Issue ----
       const double ready =
-          std::max(dispatch, std::max(reg_ready[block.src1[i]],
-                                      reg_ready[block.src2[i]]));
+          std::max(dispatch, std::max(reg_ready[ops.src1[i]],
+                                      reg_ready[ops.src2[i]]));
       // fu_acquire inlined on the raw pool, split into a branchless value
       // scan (std::min chains compile to minsd, no data-dependent branch
       // to mispredict) and a first-match index pick — the same unit the
@@ -461,33 +607,8 @@ CoreStats CoreModel::run_blocked(trace::InstrSource& source,
       if (!isa::is_mem(cls)) {
         complete = start + kExecLatency[ci];
       } else {
-        // Memory fast path: when every lane of the fused op falls into one
-        // cache line (the overwhelming replay case — unit strides coalesce,
-        // scalar ops are single-lane) and that line hits L1, the access is
-        // fully resolved right here: the L1 probe performs the exact
-        // access() hit side effects and nothing downstream (L2/L3, DRAM,
-        // prefetcher) would have been touched anyway. Same-line test:
-        // lane addresses are monotone in the lane index, so if the first
-        // and last lane share a line every lane does (a line is a
-        // contiguous range). Any other case — multi-line, L1 miss,
-        // perfect memory — takes the generic path, which starts from the
-        // same cache state because a failed probe changes nothing.
-        const std::uint64_t a = block.addr[i];
-        const std::int64_t stride = block.stride[i];
-        const std::uint16_t lanes = block.lanes[i];
-        const std::uint64_t last =
-            a + static_cast<std::uint64_t>(
-                    static_cast<std::int64_t>(lanes - 1) * stride);
-        const bool single_line = a / cachesim::kLineBytes ==
-                                 last / cachesim::kLineBytes;
-        double lat;
-        if (perfect) {
-          lat = l1_lat;
-        } else if (single_line && l1.try_hit(a, is_store)) {
-          lat = l1_lat;
-        } else {
-          lat = mem_access(a, stride, lanes, start, is_store, stats);
-        }
+        const double lat =
+            perfect ? l1_lat : memory.latency(i, start, is_store, stats);
         if (is_store) {
           complete = start + kStoreCommitLatency;
           release = lat;
@@ -516,21 +637,43 @@ CoreStats CoreModel::run_blocked(trace::InstrSource& source,
         if (++sb_i == sb_n) sb_i = 0;
       }
     }
-    stats.fused_ops += block.size;
+    stats.fused_ops += ops.size;
   }
 
-  stats.scalar_instrs = scalar_instrs;
-  stats.class_ops = class_ops;
-  stats.class_lanes = class_lanes;
+  memory.finish(stats);
   stats.cycles = last_commit - t0;
-  stats.l1_accesses = hierarchy_.total_l1_stats().accesses;
-  stats.l1_misses = hierarchy_.total_l1_stats().misses;
-  stats.l2_accesses = hierarchy_.total_l2_stats().accesses;
-  stats.l2_misses = hierarchy_.total_l2_stats().misses;
-  stats.l3_accesses = hierarchy_.l3_stats().accesses;
-  stats.l3_misses = hierarchy_.l3_stats().misses;
   stats.dram = dram_.total_counters();
   return stats;
+}
+
+CoreStats CoreModel::run(trace::InstrSource& source,
+                         const CoreRunOptions& options) {
+  MUSA_CHECK_MSG(hierarchy_ != nullptr,
+                 "core built without a hierarchy can only replay");
+  prefetch_enabled_ = options.enable_prefetcher;
+  // The block path reads the source ahead of what it retires, so any run
+  // that can stop early (instruction or cycle bound) and expects the source
+  // positioned at the stop point must single-step: node_detailed resumes
+  // cores from a shared source across time quanta.
+  const bool single_step = options.single_step ||
+                           options.max_scalar_instrs != 0 ||
+                           options.max_cycle != 0.0;
+  if (single_step) return run_single_step(source, options);
+  LiveMemory memory(*this, source, options.vector_bits);
+  return run_blocked(memory, options);
+}
+
+CoreStats CoreModel::replay(const FusedOpTrace& ops,
+                            const MemOutcomeTrace& outcomes,
+                            const CoreRunOptions& options) {
+  MUSA_CHECK_MSG(options.vector_bits == ops.vector_bits,
+                 "replay at a vector width the ops were not fused for");
+  MUSA_CHECK_MSG(!options.perfect_memory && !options.single_step &&
+                     options.max_scalar_instrs == 0 && options.max_cycle == 0.0,
+                 "replay supports only full measured block runs");
+  prefetch_enabled_ = options.enable_prefetcher;
+  RecordedMemory memory(*this, ops, outcomes);
+  return run_blocked(memory, options);
 }
 
 }  // namespace musa::cpusim

@@ -24,6 +24,13 @@
 // a tight loop — one deadline poll and one fusion call per block instead of
 // per operation. A single-step reference path is retained (see
 // CoreRunOptions::single_step); both paths produce bit-identical CoreStats.
+//
+// The block loop is written once, over a memory-resolution policy
+// (DESIGN.md §7k): run() fuses the source and walks the caches as it goes;
+// replay() reads the same ops and cache outcomes from a recorded
+// FusedOpTrace / MemOutcomeTrace pair. Either way the DRAM requests, the
+// line-fill buffer and the prefetcher are driven by one function,
+// settle_lines(), against this core's own DRAM system.
 #pragma once
 
 #include <array>
@@ -35,6 +42,7 @@
 #include "common/flat_table.hpp"
 #include "common/units.hpp"
 #include "cpusim/core_config.hpp"
+#include "cpusim/measured_trace.hpp"
 #include "dramsim/dram.hpp"
 #include "isa/instr.hpp"
 #include "isa/vector_fusion.hpp"
@@ -181,6 +189,10 @@ class CoreModel {
   CoreModel(const CoreConfig& config, Frequency freq,
             cachesim::MemHierarchy& hierarchy, dramsim::DramSystem& dram,
             int core_id = 0);
+  /// A core without a hierarchy of its own: it can only replay() recorded
+  /// cache outcomes (run() on it throws).
+  CoreModel(const CoreConfig& config, Frequency freq,
+            dramsim::DramSystem& dram);
 
   /// Consumes the whole source (through the fusion pass) and returns timing
   /// plus activity statistics. Runs the batched block path unless the
@@ -188,10 +200,27 @@ class CoreModel {
   /// exactly what they retire; the block path reads ahead).
   CoreStats run(trace::InstrSource& source, const CoreRunOptions& options);
 
+  /// The measured run of `ops` whose cache outcomes `outcomes` recorded
+  /// (record_outcomes over the warm hierarchy run() would have used):
+  /// bit-identical CoreStats to that run(), without fusing or touching a
+  /// cache. Honours vector_bits (must match `ops`), enable_prefetcher and
+  /// start_cycle; every other option must keep its default.
+  CoreStats replay(const FusedOpTrace& ops, const MemOutcomeTrace& outcomes,
+                   const CoreRunOptions& options);
+
  private:
-  /// Batched path: walks SoA fused-instruction blocks (isa::FusedBlock).
-  CoreStats run_blocked(trace::InstrSource& source,
-                        const CoreRunOptions& options);
+  struct OpColumns;
+  class LiveMemory;
+  class RecordedMemory;
+
+  CoreModel(const CoreConfig& config, Frequency freq,
+            cachesim::MemHierarchy* hierarchy, dramsim::DramSystem& dram,
+            int core_id);
+
+  /// The batched block loop (isa::FusedBlock columns), over the `memory`
+  /// policy that supplies the ops and resolves their cache accesses.
+  template <class Memory>
+  CoreStats run_blocked(Memory& memory, const CoreRunOptions& options);
   /// Retained single-step reference path (and the only path implementing
   /// max_scalar_instrs / max_cycle early exit).
   CoreStats run_single_step(trace::InstrSource& source,
@@ -205,10 +234,15 @@ class CoreModel {
   /// starting at `addr`); returns load-to-use latency in cycles.
   double mem_access(std::uint64_t addr, std::int64_t stride, int lanes,
                     double issue_cycle, bool is_write, CoreStats& stats);
+  /// Phase 2 of a memory access, after the cache walk: the DRAM reads,
+  /// line-fill buffer hits, prefetches and write-backs of the `n` >= 1
+  /// lines in line_addrs_ / line_outcomes_. Returns the first line's
+  /// load-to-use latency in cycles.
+  double settle_lines(std::size_t n, double issue_cycle, CoreStats& stats);
 
   CoreConfig config_;
   Frequency freq_;
-  cachesim::MemHierarchy& hierarchy_;
+  cachesim::MemHierarchy* hierarchy_;  // null: replay() only
   dramsim::DramSystem& dram_;
   int core_id_;
   StreamPrefetcher prefetcher_;

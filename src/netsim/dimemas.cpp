@@ -39,10 +39,12 @@ struct PendingReq {
 /// send order. Consumed from `head`; a drained channel resets so its
 /// capacity is reused by the next message.
 struct Channel {
+  int src = -1, dst = -1;
   std::vector<double> arrivals;
   std::size_t head = 0;
 
   bool empty() const { return head == arrivals.size(); }
+  std::size_t size() const { return arrivals.size() - head; }
   double pop() {
     const double a = arrivals[head++];
     if (head == arrivals.size()) {
@@ -74,13 +76,15 @@ struct RankState {
     return nullptr;
   }
 
-  /// Posts `req`, replacing an in-flight request with the same id.
-  void post_req(const PendingReq& req) {
-    if (PendingReq* old = find_req(req.id)) {
-      *old = req;
-    } else {
-      reqs.push_back(req);
-    }
+  /// Posts `req`; an id still in flight is a broken trace (MPI would
+  /// report the reused request), not a replacement.
+  void post_req(const PendingReq& req, int rank) {
+    if (find_req(req.id) != nullptr)
+      throw SimError((req.is_recv ? "Irecv" : "Isend") +
+                     std::string(" on rank ") + std::to_string(rank) +
+                     " reuses request " + std::to_string(req.id) +
+                     " while it is in flight");
+    reqs.push_back(req);
   }
 };
 
@@ -134,7 +138,7 @@ ReplayResult DimemasEngine::replay(const trace::AppTrace& app,
     std::uint32_t& idx =
         channel_of.find_or_insert(static_cast<std::uint64_t>(src) * P + dst);
     if (idx == 0) {
-      channels.emplace_back();
+      channels.push_back({.src = src, .dst = dst});
       idx = static_cast<std::uint32_t>(channels.size());
     }
     return channels[idx - 1];
@@ -233,7 +237,8 @@ ReplayResult DimemasEngine::replay(const trace::AppTrace& app,
           } else {
             // Isend returns immediately; Wait resolves at `cont`.
             s.post_req({.id = e.req, .is_recv = false, .peer = e.peer,
-                        .completion = cont});
+                        .completion = cont},
+                       r);
           }
           break;
         }
@@ -254,7 +259,7 @@ ReplayResult DimemasEngine::replay(const trace::AppTrace& app,
           Channel& q = channel(e.peer, r);
           PendingReq req{.id = e.req, .is_recv = true, .peer = e.peer};
           if (!q.empty()) req.completion = q.pop();
-          s.post_req(req);
+          s.post_req(req, r);
           break;
         }
         case trace::MpiOp::kWait: {
@@ -351,6 +356,14 @@ ReplayResult DimemasEngine::replay(const trace::AppTrace& app,
     visit.swap(visit_next);
   }
 
+  // Every rank finished, so a message still queued was sent and never
+  // received: the trace is inconsistent, not merely slow.
+  for (const Channel& c : channels)
+    if (!c.empty())
+      throw SimError("MPI replay: channel " + std::to_string(c.src) + "->" +
+                     std::to_string(c.dst) + " holds " +
+                     std::to_string(c.size()) +
+                     " message(s) never received at the end of the trace");
   for (const auto& rs : result.ranks)
     result.total_seconds = std::max(result.total_seconds, rs.finish_s);
   return result;

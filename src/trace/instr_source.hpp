@@ -27,10 +27,9 @@ class InstrSource {
   /// Bulk read: hands out a contiguous run of at most `max_n` upcoming
   /// instructions and marks them consumed, or returns 0 if this source
   /// cannot (or is exhausted). Consumers fall back to next() — behaviour is
-  /// identical either way; in-memory sources just skip the virtual call per
-  /// instruction, which matters on the memoized-sweep replay path
-  /// (core/stage_memo.hpp) where every design point re-walks the same
-  /// materialized stream. The cap lets a consumer stop at an exact
+  /// identical either way; sources that can hand out runs just skip the
+  /// virtual call per instruction on the fusion and warm-up hot paths.
+  /// The cap lets a consumer stop at an exact
   /// instruction count (functional warm-up must leave the source positioned
   /// precisely where the measured run begins).
   virtual std::size_t take_block(const isa::Instr** out,
@@ -68,11 +67,10 @@ class VectorSource final : public InstrSource {
 
 /// Stream over a *borrowed* instruction vector, starting at `begin`.
 ///
-/// This is how memoized kernel streams replay (core/stage_memo.hpp): the
-/// materialized stream is generated once per (app, phase), and each design
-/// point walks it through a SpanSource. `begin` positions the stream as if
-/// a prefix had already been consumed — the measured run starts where the
-/// functional warm-up left off. The vector must outlive the source.
+/// A stream generated once into a buffer can be walked many times through
+/// SpanSources. `begin` positions the stream as if a prefix had already
+/// been consumed — a measured run starts where the functional warm-up left
+/// off. The vector must outlive the source.
 class SpanSource final : public InstrSource {
  public:
   explicit SpanSource(const std::vector<isa::Instr>& instrs,

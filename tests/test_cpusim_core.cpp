@@ -420,6 +420,112 @@ TEST(CoreModel, BlockAndSingleStepPathsAreBitIdentical) {
   }
 }
 
+TEST(CoreModel, RecordedReplayMatchesLiveRunBitForBit) {
+  // Property: the timing-free half (fuse_ops + record_outcomes over a warm
+  // hierarchy) replayed against a fresh DRAM system gives the CoreStats
+  // CoreModel::run gives on the same warm hierarchy, field by field. Random
+  // cores, cache geometries, frequencies, channels and technologies; vector
+  // widths 64 (no fusion), 512 and 2048/4096 (multi-line strided ops).
+  Rng rng(0x2ec0);
+  const std::vector<CoreConfig> presets = core_presets();
+  const dramsim::MemTech techs[] = {
+      dramsim::MemTech::kDdr4_2333, dramsim::MemTech::kDdr4_2666,
+      dramsim::MemTech::kLpddr4_3200, dramsim::MemTech::kWideIo2,
+      dramsim::MemTech::kHbm2};
+  const int widths[] = {64, 512, 2048, 4096};
+  for (int trial = 0; trial < 40; ++trial) {
+    trace::KernelProfile p;
+    p.vec_body = {.loads = 1 + static_cast<int>(rng.next_below(3)),
+                  .fp_add = static_cast<int>(rng.next_below(3)),
+                  .fp_mul = static_cast<int>(rng.next_below(3)),
+                  .stores = static_cast<int>(rng.next_below(2))};
+    p.vec_trip = 1 + static_cast<int>(rng.next_below(64));
+    p.scalar_tail = {.int_alu = 1 + static_cast<int>(rng.next_below(4)),
+                     .loads = static_cast<int>(rng.next_below(4)),
+                     .stores = static_cast<int>(rng.next_below(2)),
+                     .branches = 1};
+    p.ilp_chains = 1 + static_cast<int>(rng.next_below(8));
+    p.load_use_prob = rng.next_double();
+    const std::int64_t strides[] = {8, 64, 256, 4096};
+    p.streams = {{.share = 1.0,
+                  .ws_bytes = 16 * 1024ull << rng.next_below(8),
+                  .stride = strides[rng.next_below(4)],
+                  .dependent = rng.bernoulli(0.3)}};
+    cachesim::HierarchyConfig caches;
+    caches.l1.size_bytes = 4096ull << rng.next_below(3);
+    caches.l1.ways = 2 << rng.next_below(3);
+    caches.l2 = {.size_bytes = 32768ull << rng.next_below(3),
+                 .ways = 4 << rng.next_below(2),
+                 .latency_cycles = 8 + static_cast<int>(rng.next_below(6))};
+    // Odd L3 set counts exercise the non-power-of-two index path.
+    caches.l3 = {.size_bytes = 64 * 16 * (256 + rng.next_below(1024)),
+                 .ways = 16,
+                 .latency_cycles = 40 + static_cast<int>(rng.next_below(40))};
+    const int bits = widths[rng.next_below(4)];
+    const Frequency freq{1.0 + 0.5 * static_cast<double>(rng.next_below(5))};
+    const dramsim::MemTech tech = techs[rng.next_below(5)];
+    const int channels = 1 << rng.next_below(4);
+    const bool prefetch = rng.bernoulli(0.8);
+    const CoreConfig& cfg = presets[rng.next_below(presets.size())];
+    const std::uint64_t seed = rng.next_u64();
+    constexpr std::uint64_t kWarm = 3000, kMeasure = 6000;
+
+    // The warm hierarchy both halves start from.
+    cachesim::MemHierarchy warm(caches);
+    trace::KernelSource source(p, kWarm + kMeasure, seed);
+    for (std::uint64_t i = 0; i < kWarm; ++i) {
+      isa::Instr in;
+      ASSERT_TRUE(source.next(in));
+      if (isa::is_mem(in.op))
+        warm.access(0, in.addr, in.op == isa::OpClass::kStore);
+    }
+    warm.reset_stats();
+
+    cachesim::MemHierarchy live_caches = warm;
+    dramsim::DramSystem live_dram(dramsim::timing_for(tech), channels);
+    trace::KernelSource live_source = source;
+    CoreModel live_core(cfg, freq, live_caches, live_dram);
+    const CoreStats live = live_core.run(
+        live_source, {.vector_bits = bits, .enable_prefetcher = prefetch});
+
+    const FusedOpTrace ops = fuse_ops(source, bits);
+    cachesim::MemHierarchy recorded_caches = warm;
+    const MemOutcomeTrace outcomes = record_outcomes(ops, recorded_caches);
+    dramsim::DramSystem dram(dramsim::timing_for(tech), channels);
+    CoreModel core(cfg, freq, dram);
+    const CoreStats recorded = core.replay(
+        ops, outcomes, {.vector_bits = bits, .enable_prefetcher = prefetch});
+
+    expect_identical_stats(live, recorded);
+    if (::testing::Test::HasFailure()) {
+      ADD_FAILURE() << "diverged at trial " << trial << " (vector_bits="
+                    << bits << ", seed=" << seed << ")";
+      break;
+    }
+  }
+}
+
+TEST(CoreModel, ReplayRejectsRunsItCannotReproduce) {
+  std::vector<isa::Instr> instrs(4, alu(1));
+  trace::VectorSource src(instrs);
+  const FusedOpTrace ops = fuse_ops(src, 128);
+  cachesim::MemHierarchy caches(cachesim::cache_32m_256k(1));
+  const MemOutcomeTrace outcomes = record_outcomes(ops, caches);
+  dramsim::DramSystem dram(dramsim::ddr4_2333(), 4);
+  CoreModel core(core_medium(), {2.0}, dram);
+  EXPECT_THROW(core.replay(ops, outcomes, {.vector_bits = 256}), SimError);
+  EXPECT_THROW(core.replay(ops, outcomes,
+                           {.vector_bits = 128, .perfect_memory = true}),
+               SimError);
+  EXPECT_THROW(core.replay(ops, outcomes,
+                           {.vector_bits = 128, .single_step = true}),
+               SimError);
+  EXPECT_EQ(core.replay(ops, outcomes, {.vector_bits = 128}).fused_ops, 4u);
+  // A core without a hierarchy cannot run a live stream.
+  trace::VectorSource live(instrs);
+  EXPECT_THROW(core.run(live, {}), SimError);
+}
+
 TEST(CoreModel, PfEvictionsUnchangedAcrossReplayPaths) {
   // The eviction-heavy workload of PrefetcherEvictsOldestInsteadOfClearing:
   // the stream-detector fixes and the batched path must not shift the

@@ -235,6 +235,47 @@ TEST(Dimemas, DetectsUnmatchedWaitRecv) {
   }
 }
 
+TEST(Dimemas, RejectsUndrainedChannel) {
+  // A send nobody receives: every rank finishes, one message is left.
+  AppTrace t = two_ranks();
+  t.ranks[0].events.push_back(BurstEvent::mpi(MpiOp::kSend, 1, 64));
+  EXPECT_EQ(replay_error(t),
+            "MPI replay: channel 0->1 holds 1 message(s) never received at "
+            "the end of the trace");
+  // More sends than receives on one channel.
+  AppTrace extra = two_ranks();
+  for (int i = 0; i < 3; ++i)
+    extra.ranks[1].events.push_back(BurstEvent::mpi(MpiOp::kSend, 0, 64));
+  extra.ranks[0].events.push_back(BurstEvent::mpi(MpiOp::kRecv, 1, 64));
+  EXPECT_EQ(replay_error(extra),
+            "MPI replay: channel 1->0 holds 2 message(s) never received at "
+            "the end of the trace");
+}
+
+TEST(Dimemas, RejectsRequestIdReusedInFlight) {
+  // Rank 0 posts Irecv(1, req 0) twice before waiting; rank 1 sends twice.
+  AppTrace t = two_ranks();
+  auto& r0 = t.ranks[0].events;
+  r0.push_back(BurstEvent::mpi(MpiOp::kIrecv, 1, 64, 0));
+  r0.push_back(BurstEvent::mpi(MpiOp::kIrecv, 1, 64, 0));
+  r0.push_back(BurstEvent::mpi(MpiOp::kWait, 1, 0, 0));
+  for (int i = 0; i < 2; ++i)
+    t.ranks[1].events.push_back(BurstEvent::mpi(MpiOp::kSend, 0, 64));
+  EXPECT_EQ(replay_error(t),
+            "Irecv on rank 0 reuses request 0 while it is in flight");
+  // The same for an Isend; an id is free again once its Wait retired it.
+  AppTrace isend = two_ranks();
+  auto& r1 = isend.ranks[1].events;
+  r1.push_back(BurstEvent::mpi(MpiOp::kIsend, 0, 64, 3));
+  r1.push_back(BurstEvent::mpi(MpiOp::kWait, 0, 0, 3));
+  r1.push_back(BurstEvent::mpi(MpiOp::kIsend, 0, 64, 3));
+  r1.push_back(BurstEvent::mpi(MpiOp::kIsend, 0, 64, 3));
+  for (int i = 0; i < 3; ++i)
+    isend.ranks[0].events.push_back(BurstEvent::mpi(MpiOp::kRecv, 1, 64));
+  EXPECT_EQ(replay_error(isend),
+            "Isend on rank 1 reuses request 3 while it is in flight");
+}
+
 TEST(Dimemas, ReportsDeadlock) {
   // Each rank receives before it sends: neither can ever progress.
   AppTrace t = two_ranks();

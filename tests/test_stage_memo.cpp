@@ -97,12 +97,15 @@ TEST(StageMemo, SecondRunHitsEveryTable) {
   const MemoStats warm = memo->stats();
   // The repeat run computes nothing new...
   EXPECT_EQ(warm.total_misses(), cold.total_misses());
-  // ...every stage is served from the memo...
+  // ...every stage is served from the memo (the warm-up state is consulted
+  // only to fill a missing outcome entry, so a repeat run never reads it)...
   EXPECT_GT(warm.burst_hits, cold.burst_hits);
   EXPECT_GT(warm.region_hits, cold.region_hits);
   EXPECT_GT(warm.trace_hits, cold.trace_hits);
   EXPECT_GT(warm.stream_hits, cold.stream_hits);
-  EXPECT_GT(warm.warm_hits, cold.warm_hits);
+  EXPECT_GT(warm.outcome_hits, cold.outcome_hits);
+  EXPECT_EQ(warm.warm_hits + warm.warm_misses,
+            cold.warm_hits + cold.warm_misses);
   EXPECT_GT(warm.perfect_hits, cold.perfect_hits);
   // ...and the result is still bit-identical.
   EXPECT_EQ(DseEngine::to_row(first), DseEngine::to_row(second));
@@ -182,9 +185,12 @@ TEST(StageMemo, ShardJournalRowsAreByteIdenticalWithAndWithoutMemo) {
 }
 
 TEST(StageMemo, EightWorkersHammeringSharedMemoAgreeWithPlain) {
-  // 8 threads × 6 points through one StageMemo: every worker must get the
-  // same bytes the memo-less pipeline computes. Under the TSan CI leg this
-  // is the data-race hammer for the shared tables.
+  // 8 threads × 12 points through one StageMemo: every worker must get
+  // the same bytes the memo-less pipeline computes. Under the TSan CI leg
+  // this is the data-race hammer for the shared tables. Each worker walks
+  // the points from its own offset, so different fused-op and outcome keys
+  // (spanning 3 vector widths, 3 cache geometries and 2 core counts) are
+  // filled concurrently, as well as the same key by several workers.
   const apps::AppModel& app = apps::find_app("btmz");
   std::vector<MachineConfig> configs;
   for (const auto& core : cpusim::core_presets()) {
@@ -194,6 +200,20 @@ TEST(StageMemo, EightWorkersHammeringSharedMemoAgreeWithPlain) {
   }
   for (int vec : {256, 512}) {
     MachineConfig c;
+    c.vector_bits = vec;
+    configs.push_back(c);
+  }
+  for (const char* cache : {"64M:512K", "96M:1M"}) {
+    MachineConfig c;
+    c.cache_label = cache;
+    c.vector_bits = c.cache_label == "96M:1M" ? 512 : 128;
+    configs.push_back(c);
+    c.cores = 1;
+    configs.push_back(c);
+  }
+  for (int vec : {256, 512}) {
+    MachineConfig c;
+    c.cores = 1;
     c.vector_bits = vec;
     configs.push_back(c);
   }
@@ -210,9 +230,12 @@ TEST(StageMemo, EightWorkersHammeringSharedMemoAgreeWithPlain) {
   std::vector<std::vector<std::vector<std::string>>> got(kWorkers);
   parallel_workers(kWorkers, [&](int w) {
     Pipeline local(fast_options(), memo);
-    for (const auto& c : configs)
-      got[static_cast<std::size_t>(w)].push_back(
-          DseEngine::to_row(local.run(app, c)));
+    auto& rows = got[static_cast<std::size_t>(w)];
+    rows.resize(configs.size());
+    for (std::size_t k = 0; k < configs.size(); ++k) {
+      const std::size_t i = (k + static_cast<std::size_t>(w)) % configs.size();
+      rows[i] = DseEngine::to_row(local.run(app, configs[i]));
+    }
   });
 
   for (int w = 0; w < kWorkers; ++w)
@@ -220,6 +243,10 @@ TEST(StageMemo, EightWorkersHammeringSharedMemoAgreeWithPlain) {
         << "worker " << w << " diverged";
   const MemoStats stats = memo->stats();
   EXPECT_GT(stats.total_hits(), 0u);
+  EXPECT_GT(stats.stream_hits, 0u);
+  EXPECT_GT(stats.outcome_hits, 0u);
+  EXPECT_GT(stats.outcome_misses, 0u);
+  EXPECT_GT(stats.warm_hits + stats.warm_misses, 0u);
 }
 
 }  // namespace
