@@ -1,6 +1,7 @@
 // Component microbenchmarks (google-benchmark): throughput of every MUSA
 // substrate in isolation — cache accesses, DRAM requests, vector fusion,
-// the OoO core model, runtime scheduling, MPI replay and PCA.
+// the OoO core model, runtime scheduling, burst-trace generation, MPI
+// replay-program compilation and replay, and PCA.
 #include <benchmark/benchmark.h>
 
 #include "analysis/pca.hpp"
@@ -94,24 +95,61 @@ void BM_RuntimeSchedule(benchmark::State& state) {
 }
 BENCHMARK(BM_RuntimeSchedule)->Arg(32)->Arg(64);
 
-// Items are replayed trace events, so items/s reads as the per-event cost.
-void BM_MpiReplay(benchmark::State& state, netsim::Topology topology) {
-  const apps::AppModel& app = apps::find_app("lulesh");
-  const trace::AppTrace trace =
-      apps::make_burst_trace(app, static_cast<int>(state.range(0)));
+// Burst-trace generation, replay-program compilation and replay are the
+// three layers of a burst-mode what-if; each is timed on its own. Items are
+// trace events, so items/s reads as the per-event cost.
+std::int64_t event_count(const trace::AppTrace& trace) {
   std::int64_t events = 0;
   for (const auto& rank : trace.ranks)
     events += static_cast<std::int64_t>(rank.events.size());
-  netsim::DimemasEngine net({.topology = topology});
+  return events;
+}
+
+void BM_BurstTraceGen(benchmark::State& state) {
+  const apps::AppModel& app = apps::find_app("lulesh");
+  const int ranks = static_cast<int>(state.range(0));
+  std::int64_t events = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        net.replay(trace, {.region_scale = {0.01}}).total_seconds);
+    const trace::AppTrace trace = apps::make_burst_trace(app, ranks);
+    events = event_count(trace);
+    benchmark::DoNotOptimize(trace.ranks.data());
   }
   state.SetItemsProcessed(state.iterations() * events);
 }
-BENCHMARK_CAPTURE(BM_MpiReplay, crossbar, netsim::Topology::kCrossbar)
+BENCHMARK(BM_BurstTraceGen)->ArgName("ranks")->Arg(256)->Arg(2048);
+
+void BM_MpiCompile(benchmark::State& state) {
+  const trace::AppTrace trace = apps::make_burst_trace(
+      apps::find_app("lulesh"), static_cast<int>(state.range(0)));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(netsim::compile_replay(trace).steps.data());
+  state.SetItemsProcessed(state.iterations() * event_count(trace));
+}
+BENCHMARK(BM_MpiCompile)->ArgName("ranks")->Arg(256)->Arg(2048);
+
+// Replays of one cached program, as the pipeline's what-ifs run them. The
+// sigma > 0 case applies the per-burst jitter that run_burst uses at more
+// than one core per rank.
+void BM_MpiReplay(benchmark::State& state, netsim::Topology topology,
+                  double sigma) {
+  const trace::AppTrace trace = apps::make_burst_trace(
+      apps::find_app("lulesh"), static_cast<int>(state.range(0)));
+  const netsim::ReplayProgram program = netsim::compile_replay(trace);
+  netsim::DimemasEngine net({.topology = topology});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        net.replay(program,
+                   {.region_scale = {0.01}, .region_jitter_sigma = sigma})
+            .total_seconds);
+  }
+  state.SetItemsProcessed(state.iterations() * event_count(trace));
+}
+BENCHMARK_CAPTURE(BM_MpiReplay, crossbar, netsim::Topology::kCrossbar, 0.0)
     ->ArgName("ranks")->Arg(256)->Arg(2048);
-BENCHMARK_CAPTURE(BM_MpiReplay, torus2d, netsim::Topology::kTorus2D)
+BENCHMARK_CAPTURE(BM_MpiReplay, crossbar_jitter, netsim::Topology::kCrossbar,
+                  0.2)
+    ->ArgName("ranks")->Arg(256)->Arg(2048);
+BENCHMARK_CAPTURE(BM_MpiReplay, torus2d, netsim::Topology::kTorus2D, 0.0)
     ->ArgName("ranks")->Arg(256)->Arg(2048);
 
 void BM_FullPipeline(benchmark::State& state) {

@@ -300,12 +300,18 @@ trace::AppTrace make_burst_trace(const AppModel& app, int ranks,
   for (int r = 0; r < ranks; ++r)
     rank_factor[r] = std::max(0.5, rng.next_normal(1.0, app.rank_imbalance));
 
+  const std::vector<Phase> phases = app.phases();
+  const bool p2p = ranks > 1 && app.p2p_neighbors >= 1;
+  const std::size_t per_iteration =
+      phases.size() + (p2p ? (app.p2p_neighbors >= 2 ? 8 : 4) : 0) +
+      (ranks > 1 && app.allreduce) + (ranks > 1 && app.barrier);
   for (int r = 0; r < ranks; ++r) {
     trace.ranks[r].rank = r;
     auto& ev = trace.ranks[r].events;
+    ev.reserve(per_iteration *
+               static_cast<std::size_t>(std::max(0, app.iterations)));
     const int right = (r + 1) % ranks;
     const int left = (r + ranks - 1) % ranks;
-    const std::vector<Phase> phases = app.phases();
     for (int it = 0; it < app.iterations; ++it) {
       for (std::size_t ph = 0; ph < phases.size(); ++ph) {
         const double jitter =
@@ -314,7 +320,7 @@ trace::AppTrace make_burst_trace(const AppModel& app, int ranks,
             phases[ph].ref_region_seconds * rank_factor[r] * jitter,
             /*region=*/static_cast<int>(ph)));
       }
-      if (ranks > 1 && app.p2p_neighbors >= 1) {
+      if (p2p) {
         // Ring halo exchange with non-blocking pairs.
         ev.push_back(trace::BurstEvent::mpi(trace::MpiOp::kIrecv, left,
                                             app.p2p_bytes, /*req=*/0));

@@ -163,19 +163,22 @@ const trace::Region& Pipeline::region_of(const apps::AppModel& app,
   return it->second;
 }
 
-const trace::AppTrace& Pipeline::trace_of(const apps::AppModel& app,
-                                          int ranks) {
+const netsim::ReplayProgram& Pipeline::program_of(const apps::AppModel& app,
+                                                  int ranks) {
+  // The burst trace is only a temporary: what is cached is its compiled
+  // replay program.
   auto make = [&] {
     const char* prev = deadline::set_stage("trace");
     verify::fault_point("pipeline.trace", app.name);
-    auto trace = apps::make_burst_trace(app, ranks, options_.seed + 1);
+    auto program = netsim::compile_replay(
+        apps::make_burst_trace(app, ranks, options_.seed + 1));
     deadline::set_stage(prev);
-    return trace;
+    return program;
   };
-  if (memo_) return memo_->trace(app, ranks, make);
+  if (memo_) return memo_->program(app, ranks, make);
   const MemoKey key{app_fingerprint(app), static_cast<std::uint64_t>(ranks)};
-  auto it = traces_.find(key);
-  if (it == traces_.end()) it = traces_.emplace(key, make()).first;
+  auto it = programs_.find(key);
+  if (it == programs_.end()) it = programs_.emplace(key, make()).first;
   return it->second;
 }
 
@@ -209,7 +212,7 @@ BurstResult Pipeline::run_burst(const apps::AppModel& app, int cores,
   ropts.region_scale = std::move(scales);
   ropts.region_jitter_sigma = makespan_jitter_sigma(app, cores);
   ropts.record_timeline = replay_out != nullptr;
-  const netsim::ReplayResult replay = net.replay(trace_of(app, ranks), ropts);
+  const netsim::ReplayResult replay = net.replay(program_of(app, ranks), ropts);
   out.wall_seconds = replay.total_seconds;
 
   if (replay_out) *replay_out = replay;
@@ -484,7 +487,7 @@ SimResult Pipeline::run(const apps::AppModel& app,
   ropts.region_scale = std::move(scales);
   ropts.region_jitter_sigma = makespan_jitter_sigma(app, config.cores);
   const netsim::ReplayResult replay =
-      net.replay(trace_of(app, config.ranks), ropts);
+      net.replay(program_of(app, config.ranks), ropts);
   stage_times_.replay_s += lap_s(stage_t0);
   span_t0 = trace_lap("replay", point, span_t0);
 

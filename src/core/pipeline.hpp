@@ -169,15 +169,17 @@ class Pipeline {
 
   const trace::Region& region_of(const apps::AppModel& app,
                                  std::size_t phase);
-  const trace::AppTrace& trace_of(const apps::AppModel& app, int ranks);
+  const netsim::ReplayProgram& program_of(const apps::AppModel& app,
+                                         int ranks);
 
   PipelineOptions options_;
   std::shared_ptr<StageMemo> memo_;
   StageTimes stage_times_;
   // Private per-instance caches used when no shared memo is attached,
   // keyed by (app fingerprint, phase/ranks) — no string building per call.
+  // Burst traces are cached as their compiled replay programs.
   std::unordered_map<MemoKey, trace::Region, MemoKeyHash> regions_;
-  std::unordered_map<MemoKey, trace::AppTrace, MemoKeyHash> traces_;
+  std::unordered_map<MemoKey, netsim::ReplayProgram, MemoKeyHash> programs_;
 };
 
 }  // namespace musa::core

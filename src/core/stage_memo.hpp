@@ -3,7 +3,9 @@
 // The 864-configuration sweep recomputes, at every point, work whose inputs
 // only span a handful of distinct values (DESIGN.md "Stage memoization"):
 //
-//   * region / burst-trace generation   — keyed (app, phase) / (app, ranks);
+//   * region generation                 — keyed (app, phase);
+//   * the burst trace, kept only as its compiled netsim::ReplayProgram
+//     (the "trace" table)               — keyed (app, ranks);
 //   * the burst pre-pass concurrency    — keyed (app, cores): 3 values/app;
 //   * the measured run's fused-op stream (the "stream" table) — keyed
 //     (app, phase, vector width): the KernelSource is deterministic in
@@ -34,23 +36,34 @@
 //
 // Thread safety: one StageMemo is shared by every sweep worker. Each table
 // has its own shared_mutex (read-mostly: taken shared on the hit path).
-// Misses compute *outside* any lock — results are deterministic, so when
-// two workers race to fill the same key the loser discards an identical
-// value (try_emplace, first wins) — and std::unordered_map never moves
-// node storage, so returned references stay valid while others insert.
+// Fills are single-flight: the first worker to miss a key claims it and
+// computes *outside* any lock, while other workers missing the same key
+// wait for it (polling the point's watchdog, so a --timeout budget still
+// holds) and then read its value, so each key is computed once. If the
+// claimant throws (fault-injection sites sit inside the fill callbacks),
+// its claim is dropped and a waiter claims the key and computes it itself.
+// Fills nest only along burst → region / trace and outcome → warm, so a
+// worker waiting on a key never holds a claim the key's claimant waits
+// for: the claims cannot deadlock. std::unordered_map never moves node
+// storage, so returned references stay valid while others insert.
 #pragma once
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <shared_mutex>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "apps/apps.hpp"
 #include "cachesim/hierarchy.hpp"
+#include "common/deadline.hpp"
 #include "cpusim/core_config.hpp"
 #include "cpusim/measured_trace.hpp"
+#include "netsim/replay_program.hpp"
 
 namespace musa::core {
 
@@ -97,9 +110,9 @@ std::uint64_t core_fingerprint(const cpusim::CoreConfig& c);
 void memo_hit(const char* table);
 void memo_miss(const char* table);
 
-/// Per-table hit/miss counts, snapshot for reporting. A "miss" is a compute;
-/// racing workers may both count a miss for one key (the loser's value is
-/// discarded), so hits + misses >= lookups is the only invariant.
+/// Per-table hit/miss counts, snapshot for reporting. A "miss" is a compute:
+/// one per distinct key, plus one per fill that threw. A lookup that waited
+/// for another worker's fill counts as a hit.
 struct MemoStats {
   std::uint64_t region_hits = 0, region_misses = 0;
   std::uint64_t trace_hits = 0, trace_misses = 0;
@@ -136,48 +149,41 @@ class StageMemo {
 
   MemoStats stats() const {
     MemoStats s;
-    s.region_hits = region_hits_.load(std::memory_order_relaxed);
-    s.region_misses = region_misses_.load(std::memory_order_relaxed);
-    s.trace_hits = trace_hits_.load(std::memory_order_relaxed);
-    s.trace_misses = trace_misses_.load(std::memory_order_relaxed);
-    s.burst_hits = burst_hits_.load(std::memory_order_relaxed);
-    s.burst_misses = burst_misses_.load(std::memory_order_relaxed);
-    s.stream_hits = stream_hits_.load(std::memory_order_relaxed);
-    s.stream_misses = stream_misses_.load(std::memory_order_relaxed);
-    s.outcome_hits = outcome_hits_.load(std::memory_order_relaxed);
-    s.outcome_misses = outcome_misses_.load(std::memory_order_relaxed);
-    s.warm_hits = warm_hits_.load(std::memory_order_relaxed);
-    s.warm_misses = warm_misses_.load(std::memory_order_relaxed);
-    s.perfect_hits = perfect_hits_.load(std::memory_order_relaxed);
-    s.perfect_misses = perfect_misses_.load(std::memory_order_relaxed);
+    regions_.read(s.region_hits, s.region_misses);
+    programs_.read(s.trace_hits, s.trace_misses);
+    burst_.read(s.burst_hits, s.burst_misses);
+    streams_.read(s.stream_hits, s.stream_misses);
+    outcomes_.read(s.outcome_hits, s.outcome_misses);
+    warm_.read(s.warm_hits, s.warm_misses);
+    perfect_.read(s.perfect_hits, s.perfect_misses);
     return s;
   }
 
   template <typename Fn>
   const trace::Region& region(const apps::AppModel& app, std::size_t phase,
                               Fn&& compute) {
-    return lookup("region", regions_mu_, regions_,
-                  MemoKey{app_fingerprint(app), phase}, region_hits_,
-                  region_misses_, std::forward<Fn>(compute));
+    return lookup(regions_, MemoKey{app_fingerprint(app), phase},
+                  std::forward<Fn>(compute));
   }
 
+  /// The compiled replay program of the burst trace at `ranks`.
   template <typename Fn>
-  const trace::AppTrace& trace(const apps::AppModel& app, int ranks,
-                               Fn&& compute) {
-    return lookup("trace", traces_mu_, traces_,
+  const netsim::ReplayProgram& program(const apps::AppModel& app, int ranks,
+                                       Fn&& compute) {
+    return lookup(programs_,
                   MemoKey{app_fingerprint(app),
                           static_cast<std::uint64_t>(ranks)},
-                  trace_hits_, trace_misses_, std::forward<Fn>(compute));
+                  std::forward<Fn>(compute));
   }
 
   /// Average concurrency of the burst pre-pass (drives the L3 share).
   template <typename Fn>
   double burst_concurrency(const apps::AppModel& app, int cores,
                            Fn&& compute) {
-    return lookup("burst", burst_mu_, burst_,
+    return lookup(burst_,
                   MemoKey{app_fingerprint(app),
                           static_cast<std::uint64_t>(cores)},
-                  burst_hits_, burst_misses_, std::forward<Fn>(compute));
+                  std::forward<Fn>(compute));
   }
 
   /// The fused ops of the measured run at `vector_bits`.
@@ -185,11 +191,11 @@ class StageMemo {
   const cpusim::FusedOpTrace& fused_ops(const apps::AppModel& app,
                                         std::size_t phase, int vector_bits,
                                         Fn&& compute) {
-    return lookup("stream", streams_mu_, streams_,
+    return lookup(streams_,
                   MemoKey{app_fingerprint(app),
                           fnv1a_bytes(&vector_bits, sizeof(vector_bits),
                                       fnv1a_bytes(&phase, sizeof(phase)))},
-                  stream_hits_, stream_misses_, std::forward<Fn>(compute));
+                  std::forward<Fn>(compute));
   }
 
   /// Cache outcomes of the measured run at `vector_bits` against the warm
@@ -202,9 +208,8 @@ class StageMemo {
     std::uint64_t tag = hierarchy_fingerprint(caches);
     tag = fnv1a_bytes(&phase, sizeof(phase), tag);
     tag = fnv1a_bytes(&vector_bits, sizeof(vector_bits), tag);
-    return lookup("outcome", outcomes_mu_, outcomes_,
-                  MemoKey{app_fingerprint(app), tag}, outcome_hits_,
-                  outcome_misses_, std::forward<Fn>(compute));
+    return lookup(outcomes_, MemoKey{app_fingerprint(app), tag},
+                  std::forward<Fn>(compute));
   }
 
   /// The hierarchy after functional warm-up + reset_stats.
@@ -212,11 +217,11 @@ class StageMemo {
   const cachesim::MemHierarchy& warm_state(
       const apps::AppModel& app, std::size_t phase,
       const cachesim::HierarchyConfig& caches, Fn&& compute) {
-    return lookup("warm", warm_mu_, warm_,
+    return lookup(warm_,
                   MemoKey{app_fingerprint(app),
                           fnv1a_bytes(&phase, sizeof(phase),
                                       hierarchy_fingerprint(caches))},
-                  warm_hits_, warm_misses_, std::forward<Fn>(compute));
+                  std::forward<Fn>(compute));
   }
 
   /// CPI of the perfect-memory run (stall attribution baseline).
@@ -227,55 +232,85 @@ class StageMemo {
     std::uint64_t tag = core_fingerprint(core);
     tag = fnv1a_bytes(&phase, sizeof(phase), tag);
     tag = fnv1a_bytes(&vector_bits, sizeof(vector_bits), tag);
-    return lookup("perfect", perfect_mu_, perfect_,
-                  MemoKey{app_fingerprint(app), tag}, perfect_hits_,
-                  perfect_misses_, std::forward<Fn>(compute));
+    return lookup(perfect_, MemoKey{app_fingerprint(app), tag},
+                  std::forward<Fn>(compute));
   }
 
  private:
-  template <typename Map, typename Fn>
-  auto& lookup(const char* table, std::shared_mutex& mu, Map& map,
-               const MemoKey& key, std::atomic<std::uint64_t>& hits,
-               std::atomic<std::uint64_t>& misses, Fn&& compute) {
+  /// One memoized stage: its values, the keys being filled, and counters.
+  template <typename V>
+  struct Table {
+    explicit Table(const char* n) : name(n) {}
+
+    void read(std::uint64_t& h, std::uint64_t& m) const {
+      h = hits.load(std::memory_order_relaxed);
+      m = misses.load(std::memory_order_relaxed);
+    }
+
+    const char* name;  // metric name: memo.<name>.hits / .misses
+    std::shared_mutex mu;
+    std::condition_variable_any filled;  // a fill finished or was dropped
+    std::unordered_map<MemoKey, V, MemoKeyHash> values;
+    std::unordered_set<MemoKey, MemoKeyHash> filling;  // claimed keys
+    std::atomic<std::uint64_t> hits{0}, misses{0};
+  };
+
+  template <typename V, typename Fn>
+  const V& lookup(Table<V>& t, const MemoKey& key, Fn&& compute) {
+    auto hit = [&](const V& v) -> const V& {
+      t.hits.fetch_add(1, std::memory_order_relaxed);
+      memo_hit(t.name);
+      return v;
+    };
     {
-      std::shared_lock lock(mu);
-      auto it = map.find(key);
-      if (it != map.end()) {
-        hits.fetch_add(1, std::memory_order_relaxed);
-        memo_hit(table);
-        return it->second;
+      std::shared_lock lock(t.mu);
+      auto it = t.values.find(key);
+      if (it != t.values.end()) return hit(it->second);
+    }
+    {
+      std::unique_lock lock(t.mu);
+      while (true) {
+        auto it = t.values.find(key);
+        if (it != t.values.end()) return hit(it->second);
+        if (t.filling.insert(key).second) break;  // ours to compute
+        // Another worker is filling this key: wait, but keep honouring
+        // this point's wall-clock budget.
+        t.filled.wait_for(lock, std::chrono::milliseconds(1));
+        deadline::check_now();
       }
     }
-    misses.fetch_add(1, std::memory_order_relaxed);
-    memo_miss(table);
-    // Deterministic compute outside the lock: a racing loser discards a
-    // bit-identical value, and callbacks that re-enter the memo (the burst
-    // pre-pass builds regions/traces) cannot deadlock.
-    auto value = compute();
-    std::unique_lock lock(mu);
-    return map.try_emplace(key, std::move(value)).first->second;
+    t.misses.fetch_add(1, std::memory_order_relaxed);
+    memo_miss(t.name);
+    // Compute outside the lock: callbacks that re-enter the memo (the
+    // burst pre-pass builds regions and traces) take other tables' locks.
+    try {
+      auto value = compute();
+      std::unique_lock lock(t.mu);
+      t.filling.erase(key);
+      const V& stored =
+          t.values.try_emplace(key, std::move(value)).first->second;
+      lock.unlock();
+      t.filled.notify_all();
+      return stored;
+    } catch (...) {
+      {
+        std::unique_lock lock(t.mu);
+        t.filling.erase(key);
+      }
+      t.filled.notify_all();
+      throw;
+    }
   }
 
   std::uint64_t options_fp_;
 
-  std::shared_mutex regions_mu_, traces_mu_, burst_mu_, streams_mu_,
-      outcomes_mu_, warm_mu_, perfect_mu_;
-  std::unordered_map<MemoKey, trace::Region, MemoKeyHash> regions_;
-  std::unordered_map<MemoKey, trace::AppTrace, MemoKeyHash> traces_;
-  std::unordered_map<MemoKey, double, MemoKeyHash> burst_;
-  std::unordered_map<MemoKey, cpusim::FusedOpTrace, MemoKeyHash> streams_;
-  std::unordered_map<MemoKey, cpusim::MemOutcomeTrace, MemoKeyHash>
-      outcomes_;
-  std::unordered_map<MemoKey, cachesim::MemHierarchy, MemoKeyHash> warm_;
-  std::unordered_map<MemoKey, double, MemoKeyHash> perfect_;
-
-  std::atomic<std::uint64_t> region_hits_{0}, region_misses_{0};
-  std::atomic<std::uint64_t> trace_hits_{0}, trace_misses_{0};
-  std::atomic<std::uint64_t> burst_hits_{0}, burst_misses_{0};
-  std::atomic<std::uint64_t> stream_hits_{0}, stream_misses_{0};
-  std::atomic<std::uint64_t> outcome_hits_{0}, outcome_misses_{0};
-  std::atomic<std::uint64_t> warm_hits_{0}, warm_misses_{0};
-  std::atomic<std::uint64_t> perfect_hits_{0}, perfect_misses_{0};
+  Table<trace::Region> regions_{"region"};
+  Table<netsim::ReplayProgram> programs_{"trace"};
+  Table<double> burst_{"burst"};
+  Table<cpusim::FusedOpTrace> streams_{"stream"};
+  Table<cpusim::MemOutcomeTrace> outcomes_{"outcome"};
+  Table<cachesim::MemHierarchy> warm_{"warm"};
+  Table<double> perfect_{"perfect"};
 };
 
 }  // namespace musa::core

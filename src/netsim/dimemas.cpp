@@ -2,25 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
 
 #include "common/check.hpp"
 #include "common/deadline.hpp"
-#include "common/flat_table.hpp"
-#include "common/rng.hpp"
 
 namespace musa::netsim {
 
 namespace {
-
-/// Deterministic ~N(1, sigma) factor for burst `idx` of `rank`.
-double jitter_factor(int rank, int idx, double sigma) {
-  if (sigma <= 0.0) return 1.0;
-  Rng rng((static_cast<std::uint64_t>(rank) << 24) ^
-          (static_cast<std::uint64_t>(idx) * 0x9e3779b9ull) ^
-          0x51c0ffeeull);
-  return std::max(0.3, rng.next_normal(1.0, sigma));
-}
 
 struct Collective {
   int entered = 0;
@@ -28,38 +18,28 @@ struct Collective {
   double completion = -1.0;  // < 0 until all ranks entered
 };
 
-struct PendingReq {
-  int id = -1;
-  bool is_recv = false;
-  int peer = -1;
+/// An Isend or Irecv in flight, in the request slot the program gave it.
+struct Request {
   double completion = -1.0;  // resolved completion; < 0 = unmatched recv
+  std::uint32_t channel = 0;
+  bool is_recv = false;
 };
 
-/// Arrival times of the messages in flight on one (src, dst) channel, in
-/// send order. Consumed from `head`; a drained channel resets so its
-/// capacity is reused by the next message.
-struct Channel {
-  int src = -1, dst = -1;
-  std::vector<double> arrivals;
-  std::size_t head = 0;
+/// The messages in flight on one channel, as indices into the channel's
+/// segment of the arrivals array: sent [0, tail), received [0, head).
+struct ChannelQueue {
+  std::uint32_t head = 0, tail = 0;
+  std::uint32_t first_use = 0;  // 1 + use order; 0 = not used yet
 
-  bool empty() const { return head == arrivals.size(); }
-  std::size_t size() const { return arrivals.size() - head; }
-  double pop() {
-    const double a = arrivals[head++];
-    if (head == arrivals.size()) {
-      arrivals.clear();
-      head = 0;
-    }
-    return a;
-  }
+  bool empty() const { return head == tail; }
+  std::uint32_t size() const { return tail - head; }
 };
 
 /// Why a rank stopped short of the end of its trace.
 enum class Block : std::uint8_t { kNone, kChannel, kCollective };
 
 struct RankState {
-  std::size_t ip = 0;   // next event index
+  std::size_t ip = 0;   // next step index
   double t = 0.0;
   bool done = false;
   Block block = Block::kNone;
@@ -68,24 +48,6 @@ struct RankState {
   // Collective whose entry this rank has registered but not yet crossed: a
   // rank revisits its blocking event when woken, and must count once.
   int entered_collective = -1;
-  std::vector<PendingReq> reqs;  // in-flight requests (2-4 in practice)
-
-  PendingReq* find_req(int id) {
-    for (auto& q : reqs)
-      if (q.id == id) return &q;
-    return nullptr;
-  }
-
-  /// Posts `req`; an id still in flight is a broken trace (MPI would
-  /// report the reused request), not a replacement.
-  void post_req(const PendingReq& req, int rank) {
-    if (find_req(req.id) != nullptr)
-      throw SimError((req.is_recv ? "Irecv" : "Isend") +
-                     std::string(" on rank ") + std::to_string(rank) +
-                     " reuses request " + std::to_string(req.id) +
-                     " while it is in flight");
-    reqs.push_back(req);
-  }
 };
 
 int ceil_log2(int p) {
@@ -102,26 +64,44 @@ int ceil_log2(int p) {
 
 ReplayResult DimemasEngine::replay(const trace::AppTrace& app,
                                    const ReplayOptions& options) const {
-  const int P = app.num_ranks();
-  MUSA_CHECK_MSG(P >= 1, "trace has no ranks");
+  return replay(compile_replay(app), options);
+}
 
-  auto scale_of = [&](int region_id) {
-    if (region_id >= 0 &&
-        static_cast<std::size_t>(region_id) < options.region_scale.size())
-      return options.region_scale[region_id];
-    return 1.0;
-  };
+ReplayResult DimemasEngine::replay(const ReplayProgram& program,
+                                   const ReplayOptions& options) const {
+  const int P = program.num_ranks();
+  MUSA_CHECK_MSG(P >= 1, "trace has no ranks");
+  const std::vector<ReplayStep>& steps = program.steps;
+
+  // Per-replay tables over the program's dense indices: each region's
+  // compute scale, and each channel's hop latency.
+  std::vector<double> scale(program.region_ids.size(), 1.0);
+  for (std::size_t i = 0; i < scale.size(); ++i) {
+    const int id = program.region_ids[i];
+    if (id >= 0 && static_cast<std::size_t>(id) < options.region_scale.size())
+      scale[i] = options.region_scale[id];
+  }
+  const HopMetric topo(config_.topology, P);
+  const std::size_t num_channels = program.channels.size();
+  std::vector<double> hop_latency(num_channels);
+  for (std::size_t c = 0; c < num_channels; ++c)
+    hop_latency[c] =
+        config_.latency_s *
+        topo.hops(program.channels[c].src, program.channels[c].dst);
+  const double sigma = options.region_jitter_sigma;
 
   std::vector<RankState> st(P);
-  // Per (src,dst) in-flight message queues, created on first use; the
-  // table maps key src * P + dst to 1 + the index into `channels` (0, the
-  // value a new slot starts with, means "not created yet").
-  std::vector<Channel> channels;
-  FlatTable64<std::uint32_t> channel_of(4 * static_cast<std::size_t>(P));
+  for (int r = 0; r < P; ++r) st[r].ip = program.rank_begin[r];
+  std::vector<ChannelQueue> channels(num_channels);
+  std::uint32_t channel_uses = 0;
+  // Arrival times of every message, in each channel's segment in send
+  // order; every slot is written by its send before it is read.
+  const auto arrivals =
+      std::make_unique_for_overwrite<double[]>(program.num_sends);
+  std::vector<Request> reqs(program.num_requests);
   std::vector<double> out_link_free(P, 0.0);
   std::vector<Collective> collectives;
   double bus_free = 0.0;  // shared medium (Topology::kBus only)
-  const HopMetric topo(config_.topology, P);
 
   ReplayResult result;
   result.ranks.resize(P);
@@ -134,23 +114,28 @@ ReplayResult DimemasEngine::replay(const trace::AppTrace& app,
           {.rank = rank, .start = start, .end = end, .kind = k});
   };
 
-  auto channel = [&](int src, int dst) -> Channel& {
-    std::uint32_t& idx =
-        channel_of.find_or_insert(static_cast<std::uint64_t>(src) * P + dst);
-    if (idx == 0) {
-      channels.push_back({.src = src, .dst = dst});
-      idx = static_cast<std::uint32_t>(channels.size());
-    }
-    return channels[idx - 1];
+  // The in-flight queue of channel `c`, stamped with the order of first
+  // use so an undrained-channel error names the channel it always named.
+  auto channel = [&](std::uint32_t c) -> ChannelQueue& {
+    ChannelQueue& q = channels[c];
+    if (q.first_use == 0) q.first_use = ++channel_uses;
+    return q;
+  };
+  auto push = [&](std::uint32_t c, double arrival) {
+    ChannelQueue& q = channel(c);
+    arrivals[program.channels[c].arrivals_begin + q.tail++] = arrival;
+  };
+  auto pop = [&](std::uint32_t c) {
+    return arrivals[program.channels[c].arrivals_begin + channels[c].head++];
   };
 
-  // Sender-side transfer: serialises on the rank's output link (and, for a
-  // bus topology, on the shared medium); latency scales with the topology's
-  // hop distance. Returns the message's arrival time at the destination and
-  // the time the *sender* may continue (injection for eager, full transfer
-  // for rendezvous).
-  auto transmit = [&](int src, int dst, double post_t, std::uint64_t bytes,
-                      double& sender_continue) {
+  // Sender-side transfer on channel `c`: serialises on the sender's output
+  // link (and, for a bus topology, on the shared medium); latency scales
+  // with the topology's hop distance. Returns the message's arrival time
+  // at the destination and the time the *sender* may continue (injection
+  // for eager, full transfer for rendezvous).
+  auto transmit = [&](int src, std::uint32_t c, double post_t,
+                      std::uint64_t bytes, double& sender_continue) {
     const double inject = static_cast<double>(bytes) /
                           (config_.bandwidth_gbps * 1e9);
     double start = std::max(post_t, out_link_free[src]);
@@ -159,8 +144,7 @@ ReplayResult DimemasEngine::replay(const trace::AppTrace& app,
       bus_free = start + inject;
     }
     out_link_free[src] = start + inject;
-    const double arrival =
-        start + config_.latency_s * topo.hops(src, dst) + inject;
+    const double arrival = start + hop_latency[c] + inject;
     sender_continue = bytes <= config_.eager_threshold ? start + inject
                                                        : arrival;
     return arrival;
@@ -196,15 +180,16 @@ ReplayResult DimemasEngine::replay(const trace::AppTrace& app,
 
   auto advance = [&](int r) {
     RankState& s = st[r];
-    const auto& events = app.ranks[r].events;
+    const std::size_t end = program.rank_begin[r + 1];
 
-    while (s.ip < events.size()) {
-      const trace::BurstEvent& e = events[s.ip];
+    while (s.ip < end) {
+      const ReplayStep& e = steps[s.ip];
+      using Op = ReplayStep::Op;
 
-      if (e.kind == trace::BurstEvent::Kind::kCompute) {
-        const double d = e.seconds * scale_of(e.region_id) *
-                         jitter_factor(r, static_cast<int>(s.ip),
-                                       options.region_jitter_sigma);
+      if (e.op == Op::kCompute) {
+        const double jitter =
+            sigma > 0.0 ? std::max(0.3, 1.0 + e.jitter * sigma) : 1.0;
+        const double d = e.seconds * scale[e.region] * jitter;
         push_seg(r, s.t, s.t + d, RankSeg::Kind::kCompute);
         result.ranks[r].compute_s += d;
         s.t += d;
@@ -212,76 +197,65 @@ ReplayResult DimemasEngine::replay(const trace::AppTrace& app,
         continue;
       }
 
-      const bool collective = e.op == trace::MpiOp::kAllreduce ||
-                              e.op == trace::MpiOp::kBarrier;
-      // Wait's own peer is unused: its request's peer was checked at post.
-      if (!collective && e.op != trace::MpiOp::kWait &&
-          (e.peer < 0 || e.peer >= P))
-        throw SimError(std::string(trace::mpi_op_name(e.op)) + " on rank " +
-                       std::to_string(r) + ": peer " +
-                       std::to_string(e.peer) + " outside [0, " +
-                       std::to_string(P) + ")");
-
+      const bool collective = e.op == Op::kAllreduce || e.op == Op::kBarrier;
       const double entry = s.t;
       switch (e.op) {
-        case trace::MpiOp::kSend:
-        case trace::MpiOp::kIsend: {
+        case Op::kSend:
+        case Op::kIsend: {
+          const std::uint32_t c = e.p2p.channel;
+          const int dst = program.channels[c].dst;
           double cont = entry;
-          const double arrival = transmit(r, e.peer, entry, e.bytes, cont);
-          channel(r, e.peer).arrivals.push_back(arrival);
-          if (st[e.peer].block == Block::kChannel &&
-              st[e.peer].blocked_src == r)
-            wake(e.peer);
-          if (e.op == trace::MpiOp::kSend) {
+          const double arrival = transmit(r, c, entry, e.bytes, cont);
+          push(c, arrival);
+          if (st[dst].block == Block::kChannel && st[dst].blocked_src == r)
+            wake(dst);
+          if (e.op == Op::kSend) {
             s.t = cont;
           } else {
             // Isend returns immediately; Wait resolves at `cont`.
-            s.post_req({.id = e.req, .is_recv = false, .peer = e.peer,
-                        .completion = cont},
-                       r);
+            reqs[e.p2p.req] = {.completion = cont, .channel = c,
+                               .is_recv = false};
           }
           break;
         }
-        case trace::MpiOp::kRecv: {
-          Channel& q = channel(e.peer, r);
-          if (q.empty()) {
-            if (st[e.peer].done)
+        case Op::kRecv: {
+          const std::uint32_t c = e.p2p.channel;
+          if (channel(c).empty()) {
+            const int src = program.channels[c].src;
+            if (st[src].done)
               throw SimError("Recv with no matching Send in trace");
-            block_on_channel(s, e.peer);
+            block_on_channel(s, src);
             return;
           }
-          s.t = std::max(entry, q.pop());
+          s.t = std::max(entry, pop(c));
           break;
         }
-        case trace::MpiOp::kIrecv: {
+        case Op::kIrecv: {
           // Never blocks: try to bind a message now; otherwise resolve at
           // the matching Wait.
-          Channel& q = channel(e.peer, r);
-          PendingReq req{.id = e.req, .is_recv = true, .peer = e.peer};
-          if (!q.empty()) req.completion = q.pop();
-          s.post_req(req, r);
+          const std::uint32_t c = e.p2p.channel;
+          reqs[e.p2p.req] = {.completion = channel(c).empty() ? -1.0 : pop(c),
+                             .channel = c,
+                             .is_recv = true};
           break;
         }
-        case trace::MpiOp::kWait: {
-          PendingReq* req = s.find_req(e.req);
-          MUSA_CHECK_MSG(req != nullptr, "Wait on unknown request");
-          if (req->is_recv && req->completion < 0) {
-            Channel& q = channel(req->peer, r);
-            if (q.empty()) {
-              if (st[req->peer].done)
+        case Op::kWait: {
+          Request& req = reqs[e.p2p.req];
+          if (req.is_recv && req.completion < 0) {
+            if (channel(req.channel).empty()) {
+              const int src = program.channels[req.channel].src;
+              if (st[src].done)
                 throw SimError("Wait(recv) with no matching Send");
-              block_on_channel(s, req->peer);
+              block_on_channel(s, src);
               return;
             }
-            req->completion = q.pop();
+            req.completion = pop(req.channel);
           }
-          s.t = std::max(entry, req->completion);
-          *req = s.reqs.back();
-          s.reqs.pop_back();
+          s.t = std::max(entry, req.completion);
           break;
         }
-        case trace::MpiOp::kAllreduce:
-        case trace::MpiOp::kBarrier: {
+        case Op::kAllreduce:
+        case Op::kBarrier: {
           const int k = s.collectives_crossed;
           if (static_cast<std::size_t>(k) >= collectives.size())
             collectives.resize(k + 1);
@@ -295,7 +269,7 @@ ReplayResult DimemasEngine::replay(const trace::AppTrace& app,
               // topology (diameter hops at worst in the upper stages).
               const int dia = topo.diameter();
               const double step =
-                  e.op == trace::MpiOp::kAllreduce
+                  e.op == Op::kAllreduce
                       ? 2.0 * tree_depth * config_.transfer_s(e.bytes, dia)
                       : 1.0 * tree_depth * config_.latency_s * dia;
               col.completion = col.max_enter + step;
@@ -312,6 +286,8 @@ ReplayResult DimemasEngine::replay(const trace::AppTrace& app,
           s.t = std::max(entry, col.completion);
           break;
         }
+        case Op::kCompute:
+          break;  // handled above
       }
 
       // Account MPI time and advance.
@@ -357,13 +333,20 @@ ReplayResult DimemasEngine::replay(const trace::AppTrace& app,
   }
 
   // Every rank finished, so a message still queued was sent and never
-  // received: the trace is inconsistent, not merely slow.
-  for (const Channel& c : channels)
-    if (!c.empty())
-      throw SimError("MPI replay: channel " + std::to_string(c.src) + "->" +
-                     std::to_string(c.dst) + " holds " +
-                     std::to_string(c.size()) +
-                     " message(s) never received at the end of the trace");
+  // received: the trace is inconsistent, not merely slow. Name the
+  // undrained channel that was used first.
+  std::size_t first = num_channels;
+  for (std::size_t c = 0; c < num_channels; ++c)
+    if (!channels[c].empty() &&
+        (first == num_channels ||
+         channels[c].first_use < channels[first].first_use))
+      first = c;
+  if (first < num_channels)
+    throw SimError("MPI replay: channel " +
+                   std::to_string(program.channels[first].src) + "->" +
+                   std::to_string(program.channels[first].dst) + " holds " +
+                   std::to_string(channels[first].size()) +
+                   " message(s) never received at the end of the trace");
   for (const auto& rs : result.ranks)
     result.total_seconds = std::max(result.total_seconds, rs.finish_s);
   return result;

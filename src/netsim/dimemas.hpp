@@ -8,6 +8,12 @@
 // micro-architecture results into full-application, full-machine time
 // (paper §II "Simulation").
 //
+// The engine replays a ReplayProgram (replay_program.hpp): the trace
+// compiled once into flat steps with dense channel and region indices and
+// the jitter draws precomputed, so callers that replay one trace under
+// many options (the pipeline's what-ifs) compile it once and cache it.
+// Replaying an AppTrace compiles it and replays the result.
+//
 // The engine is a multi-pass coroutine-style simulator: each rank advances
 // until it blocks on an unmatched message or an incomplete collective, and
 // is visited again only once a message, a collective completion or its
@@ -20,6 +26,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "netsim/replay_program.hpp"
 #include "netsim/topology.hpp"
 #include "trace/burst.hpp"
 
@@ -92,6 +99,11 @@ class DimemasEngine {
  public:
   explicit DimemasEngine(const NetworkConfig& config) : config_(config) {}
 
+  ReplayResult replay(const ReplayProgram& program,
+                      const ReplayOptions& options) const;
+
+  /// Compiles `app` and replays it: the same result as replaying
+  /// compile_replay(app).
   ReplayResult replay(const trace::AppTrace& app,
                       const ReplayOptions& options) const;
 

@@ -8,6 +8,7 @@
 #include "apps/apps.hpp"
 #include "common/check.hpp"
 #include "netsim/dimemas.hpp"
+#include "netsim/replay_program.hpp"
 #include "trace/burst.hpp"
 
 namespace musa::netsim {
@@ -308,11 +309,54 @@ TEST(Dimemas, RejectsOutOfRangePeer) {
   }
 }
 
-// --- Golden pins -----------------------------------------------------------
-// Bit-exact results of a replay that visits every unfinished rank, in rank
-// order, on every pass. They pin the order in which ranks change state:
-// the bus topology's shared medium and an Irecv that binds its message at
-// post time both depend on it (DESIGN.md §7j).
+TEST(Dimemas, RejectsWaitOnUnknownRequest) {
+  AppTrace t = two_ranks();
+  t.ranks[0].events.push_back(BurstEvent::mpi(MpiOp::kWait, 1, 0, 7));
+  const std::string msg = replay_error(t);
+  EXPECT_NE(msg.find("Wait on unknown request"), std::string::npos) << msg;
+}
+
+TEST(Dimemas, UndrainedChannelErrorNamesTheFirstUsedChannel) {
+  // Two channels end undrained. Rank 0's Send(1) sits first in rank order,
+  // but rank 0 blocks on its Recv(2) until rank 2 has sent on 2->1, so
+  // 2->1 is used first and is the one named.
+  AppTrace t;
+  t.ranks.resize(3);
+  for (int i = 0; i < 3; ++i) t.ranks[i].rank = i;
+  t.ranks[0].events.push_back(BurstEvent::mpi(MpiOp::kRecv, 2, 64));
+  t.ranks[0].events.push_back(BurstEvent::mpi(MpiOp::kSend, 1, 64));
+  t.ranks[1].events.push_back(BurstEvent::compute(0.1, 0));
+  t.ranks[2].events.push_back(BurstEvent::mpi(MpiOp::kSend, 0, 64));
+  t.ranks[2].events.push_back(BurstEvent::mpi(MpiOp::kSend, 1, 64));
+  EXPECT_EQ(replay_error(t),
+            "MPI replay: channel 2->1 holds 1 message(s) never received at "
+            "the end of the trace");
+}
+
+TEST(Dimemas, TraceChecksFailAtCompileWithTheReplayMessage) {
+  // A bad peer, a reused request id and a Wait with no request in flight
+  // depend only on the rank's own events, so compile_replay rejects them
+  // before any replay starts, with the message replay(AppTrace) gives.
+  AppTrace peer = two_ranks();
+  peer.ranks[1].events.push_back(BurstEvent::mpi(MpiOp::kSend, 5, 64));
+  AppTrace reused = two_ranks();
+  reused.ranks[0].events.push_back(BurstEvent::mpi(MpiOp::kIsend, 1, 64, 2));
+  reused.ranks[0].events.push_back(BurstEvent::mpi(MpiOp::kIsend, 1, 64, 2));
+  AppTrace unknown = two_ranks();
+  unknown.ranks[1].events.push_back(BurstEvent::mpi(MpiOp::kWait, 0, 0, 4));
+  for (const AppTrace* t : {&peer, &reused, &unknown}) {
+    std::string compile_msg = "no error";
+    try {
+      compile_replay(*t);
+    } catch (const SimError& e) {
+      compile_msg = e.what();
+    }
+    EXPECT_EQ(compile_msg, replay_error(*t));
+    EXPECT_NE(compile_msg, "no error");
+  }
+}
+
+// --- Compiled programs -----------------------------------------------------
 
 /// FNV-1a over the bit patterns of every rank's finish, compute, p2p and
 /// collective times, in rank order.
@@ -325,6 +369,103 @@ std::uint64_t rank_stats_digest(const ReplayResult& r) {
     }
   return h;
 }
+
+/// Field-by-field equality of two timelines.
+bool same_timeline(const std::vector<RankSeg>& a,
+                   const std::vector<RankSeg>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (a[i].rank != b[i].rank || a[i].kind != b[i].kind ||
+        std::bit_cast<std::uint64_t>(a[i].start) !=
+            std::bit_cast<std::uint64_t>(b[i].start) ||
+        std::bit_cast<std::uint64_t>(a[i].end) !=
+            std::bit_cast<std::uint64_t>(b[i].end))
+      return false;
+  return true;
+}
+
+TEST(ReplayProgram, OneProgramUnderVariedOptionsEqualsCompilePerCall) {
+  // A two-region app at 48 ranks (not a square: the torus has a ragged
+  // edge; above the fat-tree radix: both switch levels). The one program is
+  // replayed under every option set in turn, so state leaking from one
+  // replay into the next would show.
+  apps::AppModel app = apps::find_app("lulesh");
+  app.extra_phases = {app.phases().front()};
+  const AppTrace t = apps::make_burst_trace(app, 48);
+  const ReplayProgram program = compile_replay(t);
+  EXPECT_EQ(program.region_ids, (std::vector<int>{0, 1}));
+  const std::vector<std::vector<double>> scales = {{}, {0.5}, {0.25, 2.0}};
+  int compared = 0;
+  for (const Topology topology :
+       {Topology::kCrossbar, Topology::kBus, Topology::kTorus2D,
+        Topology::kFatTree}) {
+    NetworkConfig cfg;
+    cfg.topology = topology;
+    const DimemasEngine net(cfg);
+    for (const double sigma : {0.0, 0.2})
+      for (const auto& scale : scales)
+        for (const bool timeline : {false, true}) {
+          const ReplayOptions opts{.region_scale = scale,
+                                   .region_jitter_sigma = sigma,
+                                   .record_timeline = timeline};
+          const ReplayResult cached = net.replay(program, opts);
+          const ReplayResult fresh = net.replay(t, opts);
+          const std::string where =
+              std::string(topology_name(topology)) + " sigma " +
+              std::to_string(sigma) + " scales " +
+              std::to_string(scale.size()) + " timeline " +
+              std::to_string(timeline);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(cached.total_seconds),
+                    std::bit_cast<std::uint64_t>(fresh.total_seconds))
+              << where;
+          EXPECT_EQ(rank_stats_digest(cached), rank_stats_digest(fresh))
+              << where;
+          EXPECT_TRUE(same_timeline(cached.timeline, fresh.timeline)) << where;
+          EXPECT_EQ(cached.timeline.empty(), !timeline) << where;
+          ++compared;
+        }
+  }
+  EXPECT_EQ(compared, 4 * 2 * 3 * 2);
+}
+
+TEST(ReplayProgram, ResolvesChannelsRequestsAndArrivalSegments) {
+  // Ring exchange at 4 ranks: every rank sends right and left and receives
+  // from both, so 8 channels; two requests in flight per rank at most.
+  const AppTrace t = apps::make_burst_trace(apps::find_app("spmz"), 4);
+  const ReplayProgram p = compile_replay(t);
+  ASSERT_EQ(p.num_ranks(), 4);
+  EXPECT_EQ(p.rank_begin.front(), 0u);
+  std::size_t events = 0;
+  for (const auto& rank : t.ranks) events += rank.events.size();
+  EXPECT_EQ(p.steps.size(), events);
+  EXPECT_EQ(p.rank_begin.back(), events);
+  EXPECT_EQ(p.channels.size(), 8u);
+  EXPECT_EQ(p.num_requests, 4u * 4u);
+  std::uint32_t sends = 0;
+  for (const ReplayStep& s : p.steps)
+    sends += s.op == ReplayStep::Op::kSend || s.op == ReplayStep::Op::kIsend;
+  EXPECT_EQ(p.num_sends, sends);
+  // Segments tile the arrivals array in channel order.
+  for (std::size_t c = 1; c < p.channels.size(); ++c)
+    EXPECT_GT(p.channels[c].arrivals_begin, p.channels[c - 1].arrivals_begin);
+  // Every point-to-point step names a channel with itself at the right end.
+  for (int r = 0; r < 4; ++r)
+    for (std::uint32_t i = p.rank_begin[r]; i < p.rank_begin[r + 1]; ++i) {
+      const ReplayStep& s = p.steps[i];
+      if (s.op == ReplayStep::Op::kIsend || s.op == ReplayStep::Op::kSend) {
+        EXPECT_EQ(p.channels[s.p2p.channel].src, r);
+      }
+      if (s.op == ReplayStep::Op::kIrecv || s.op == ReplayStep::Op::kRecv) {
+        EXPECT_EQ(p.channels[s.p2p.channel].dst, r);
+      }
+    }
+}
+
+// --- Golden pins -----------------------------------------------------------
+// Bit-exact results of a replay that visits every unfinished rank, in rank
+// order, on every pass. They pin the order in which ranks change state:
+// the bus topology's shared medium and an Irecv that binds its message at
+// post time both depend on it (DESIGN.md §7j).
 
 TEST(Dimemas, GoldenLulesh64EveryTopology) {
   const AppTrace t = apps::make_burst_trace(apps::find_app("lulesh"), 64);
@@ -348,6 +489,20 @@ TEST(Dimemas, GoldenLulesh64EveryTopology) {
         << topology_name(pin.topology);
     EXPECT_EQ(rank_stats_digest(r), pin.digest) << topology_name(pin.topology);
   }
+}
+
+TEST(Dimemas, GoldenSpmz512BusWithJitter) {
+  // Bus topology at 512 ranks: every transfer claims the shared medium in
+  // visit order, so this pins the pass schedule at scale. Recorded from the
+  // engine that walked the trace's events directly, before replays ran on
+  // compiled programs.
+  const AppTrace t = apps::make_burst_trace(apps::find_app("spmz"), 512);
+  NetworkConfig cfg;
+  cfg.topology = Topology::kBus;
+  const ReplayResult r =
+      DimemasEngine(cfg).replay(t, {.region_jitter_sigma = 0.2});
+  EXPECT_EQ(r.total_seconds, 0x1.0c3324ba26d5p+0);
+  EXPECT_EQ(rank_stats_digest(r), 0x089608986c6c6a5aull);
 }
 
 TEST(Dimemas, GoldenIrecvThenRecvFromSamePeer) {

@@ -7,12 +7,16 @@
 // CI leg exercises the concurrent paths.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/deadline.hpp"
 #include "common/journal.hpp"
 #include "common/parallel.hpp"
 #include "core/dse.hpp"
@@ -247,6 +251,118 @@ TEST(StageMemo, EightWorkersHammeringSharedMemoAgreeWithPlain) {
   EXPECT_GT(stats.outcome_hits, 0u);
   EXPECT_GT(stats.outcome_misses, 0u);
   EXPECT_GT(stats.warm_hits + stats.warm_misses, 0u);
+
+  // Fills are single-flight: however the workers raced, each table
+  // computed each distinct key once, as one worker alone does.
+  auto serial_memo = std::make_shared<StageMemo>(
+      pipeline_options_fingerprint(fast_options()));
+  Pipeline serial(fast_options(), serial_memo);
+  for (const auto& c : configs) serial.run(app, c);
+  const MemoStats keys = serial_memo->stats();
+  EXPECT_EQ(stats.region_misses, keys.region_misses);
+  EXPECT_EQ(stats.trace_misses, keys.trace_misses);
+  EXPECT_EQ(stats.burst_misses, keys.burst_misses);
+  EXPECT_EQ(stats.stream_misses, keys.stream_misses);
+  EXPECT_EQ(stats.outcome_misses, keys.outcome_misses);
+  EXPECT_EQ(stats.warm_misses, keys.warm_misses);
+  EXPECT_EQ(stats.perfect_misses, keys.perfect_misses);
+}
+
+// --- Single-flight fills -----------------------------------------------------
+// StageMemo::burst_concurrency takes any callback, so these drive one key
+// of one table directly: `started` tells the second worker that the first
+// one has claimed the key and is inside its fill.
+
+TEST(StageMemo, WorkerWaitsForAKeyBeingFilledInsteadOfComputingIt) {
+  const apps::AppModel& app = apps::find_app("hydro");
+  StageMemo memo(pipeline_options_fingerprint(fast_options()));
+  std::atomic<bool> started{false};
+  double first = 0.0;
+  std::thread filler([&] {
+    first = memo.burst_concurrency(app, 8, [&] {
+      started = true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      return 3.5;
+    });
+  });
+  while (!started) std::this_thread::yield();
+  const double second = memo.burst_concurrency(app, 8, []() -> double {
+    ADD_FAILURE() << "second worker computed a key being filled";
+    return -1.0;
+  });
+  filler.join();
+  EXPECT_EQ(first, 3.5);
+  EXPECT_EQ(second, 3.5);
+  EXPECT_EQ(memo.stats().burst_misses, 1u);
+  EXPECT_EQ(memo.stats().burst_hits, 1u);
+}
+
+TEST(StageMemo, WaitersComputeForThemselvesWhenTheFillThrows) {
+  // The claimant's fill throws once (as an injected fault inside a fill
+  // callback does); the waiting worker wakes, claims the key and fills it.
+  const apps::AppModel& app = apps::find_app("hydro");
+  StageMemo memo(pipeline_options_fingerprint(fast_options()));
+  std::atomic<bool> started{false};
+  bool threw = false;
+  std::thread filler([&] {
+    try {
+      memo.burst_concurrency(app, 8, []() -> double {
+        throw SimError("injected fill failure");
+      });
+    } catch (const SimError&) {
+      threw = true;
+    }
+  });
+  filler.join();
+  // And while a waiter is parked on the claim.
+  std::thread slow_filler([&] {
+    try {
+      memo.burst_concurrency(app, 16, [&]() -> double {
+        started = true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        throw SimError("injected fill failure");
+      });
+    } catch (const SimError&) {
+    }
+  });
+  while (!started) std::this_thread::yield();
+  const double waited = memo.burst_concurrency(app, 16, [] { return 2.0; });
+  slow_filler.join();
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(waited, 2.0);
+  // The key the failed fill left unfilled is computed on the next lookup.
+  EXPECT_EQ(memo.burst_concurrency(app, 8, [] { return 1.0; }), 1.0);
+  EXPECT_EQ(memo.burst_concurrency(app, 8, [] { return 9.0; }), 1.0);
+  const MemoStats stats = memo.stats();
+  EXPECT_EQ(stats.burst_misses, 4u);  // two failed fills, two good ones
+  EXPECT_EQ(stats.burst_hits, 1u);
+}
+
+TEST(StageMemo, WaitingWorkerStillHonoursItsDeadline) {
+  const apps::AppModel& app = apps::find_app("hydro");
+  StageMemo memo(pipeline_options_fingerprint(fast_options()));
+  std::atomic<bool> started{false}, release{false};
+  std::thread filler([&] {
+    memo.burst_concurrency(app, 8, [&] {
+      started = true;
+      while (!release)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      return 3.5;
+    });
+  });
+  while (!started) std::this_thread::yield();
+  {
+    deadline::Scope budget(0.02);
+    try {
+      memo.burst_concurrency(app, 8, [] { return -1.0; });
+      ADD_FAILURE() << "wait outlived its deadline";
+    } catch (const SimError& e) {
+      EXPECT_EQ(e.error_class(), ErrorClass::kTimeout) << e.what();
+    }
+  }
+  release = true;
+  filler.join();
+  EXPECT_EQ(memo.burst_concurrency(app, 8, [] { return -1.0; }), 3.5);
 }
 
 }  // namespace
