@@ -3,12 +3,7 @@
 //
 // The sweep is crash-safe: every completed point is fsync'd to an
 // append-only journal next to the cache, so a killed run resumes exactly
-// where it stopped. Points run on MUSA_THREADS threads in this process;
-// to spread one sweep over several processes or machines, shard it:
-//
-//   run_dse --shard 0/2 &        # each shard owns every 2nd point
-//   run_dse --shard 1/2 &        # (run anywhere sharing the cache dir)
-//   wait; run_dse                # merges the journals into the cache
+// where it stopped. Points run on MUSA_THREADS threads in this process.
 //
 // Failures are *contained* by default (DESIGN.md "Failure model"): a point
 // that throws is quarantined as a journaled FAIL row and the sweep keeps
@@ -19,20 +14,15 @@
 //
 // Tracing (DESIGN.md §7e): `--trace-out sweep.json` (or MUSA_TRACE=path)
 // arms the span tracer and exports a Chrome trace_event JSON loadable in
-// Perfetto / chrome://tracing. A shard that does not finalize the sweep
-// writes a `<trace>.shard-i-of-N.events.jsonl` sidecar instead; the run
-// that finalizes splices every sidecar plus its own events into the single
-// merged `<trace>` JSON and removes the sidecars. `--metrics-out path`
-// (default `<cache>.metrics.json` when tracing) writes the flat metric
-// snapshot, and a one-screen summary table prints at exit.
+// Perfetto / chrome://tracing; every traced run writes its own `<trace>`,
+// finished or quarantined. `--metrics-out path` (default
+// `<cache>.metrics.json` when tracing) writes the flat metric snapshot, and
+// a one-screen summary table prints at exit.
 //
-// Usage: run_dse [--force] [--shard i/N] [--no-verify] [--no-memo]
-//                [--bench] [--strict] [--retry-failed] [--timeout S]
-//                [--inject SPEC] [--trace-out PATH] [--metrics-out PATH]
-//                [--help]
-//   --force        discard the cache and all journals, then sweep fresh
-//   --shard i/N    compute only points with index % N == i (0 <= i < N);
-//                  needs a cache path (MUSA_DSE_CACHE) to merge into
+// Usage: run_dse [--force] [--no-verify] [--no-memo] [--bench] [--strict]
+//                [--retry-failed] [--timeout S] [--inject SPEC]
+//                [--trace-out PATH] [--metrics-out PATH] [--help]
+//   --force        discard the cache and its journal, then sweep fresh
 //   --no-verify    skip config lint and result-invariant enforcement
 //                  (src/verify); for performance experiments only —
 //                  `dse_lint` can re-check the cache afterwards
@@ -52,15 +42,15 @@
 //   --inject SPEC  arm fault injection, SPEC = site:kind:seed:prob[:param]
 //                  [,spec...] (see src/verify/faultpoint.hpp); overrides
 //                  the MUSA_FAULT environment variable
-//   --trace-out P  arm span tracing; write the Chrome trace (or, for a
-//                  non-finalizing shard, its JSONL sidecar) to P. The
+//   --trace-out P  arm span tracing; write the Chrome trace to P. The
 //                  MUSA_TRACE environment variable supplies a default path
 //   --metrics-out P  write the flat metric snapshot JSON to P (defaults to
 //                  `<cache>.metrics.json` whenever tracing is armed)
 //   --help         print this usage text and exit 0
 //
 // Exit codes: 0 success, 1 strict-mode abort, 2 bad usage, 3 sweep
-// completed with quarantined points.
+// incomplete (quarantined points, or journal records lost to an injected
+// corrupt fault; rerun to finish).
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
@@ -70,7 +60,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/csv.hpp"
 #include "common/progress.hpp"
 #include "fig_common.hpp"
 #include "obs/export.hpp"
@@ -81,15 +70,10 @@
 namespace {
 
 constexpr const char* kUsage =
-    "usage: run_dse [--force] [--shard i/N] [--no-verify] [--no-memo]\n"
-    "               [--bench] [--strict] [--retry-failed] [--timeout S]\n"
-    "               [--inject SPEC] [--trace-out PATH] [--metrics-out PATH]\n"
-    "               [--help]\n"
-    "  --force         discard the cache and all journals, sweep fresh\n"
-    "  --shard i/N     compute only points with index % N == i; run each\n"
-    "                  shard anywhere sharing the cache directory, then a\n"
-    "                  plain run_dse merges the shard journals. Needs\n"
-    "                  MUSA_DSE_CACHE\n"
+    "usage: run_dse [--force] [--no-verify] [--no-memo] [--bench] [--strict]\n"
+    "               [--retry-failed] [--timeout S] [--inject SPEC]\n"
+    "               [--trace-out PATH] [--metrics-out PATH] [--help]\n"
+    "  --force         discard the cache and its journal, sweep fresh\n"
     "  --no-verify     skip config lint and result-invariant enforcement\n"
     "  --no-memo       disable the shared cross-point stage memo\n"
     "  --bench         sweep the fixed 24-point bench space\n"
@@ -99,29 +83,13 @@ constexpr const char* kUsage =
     "  --inject SPEC   arm fault injection (site:kind:seed:prob[:param],...);\n"
     "                  overrides MUSA_FAULT\n"
     "  --trace-out P   arm span tracing; write the Chrome trace_event JSON\n"
-    "                  (Perfetto-loadable) to P. A shard that does not\n"
-    "                  finalize the sweep writes P.shard-i-of-N.events.jsonl\n"
-    "                  instead; the finalizing run merges every sidecar into\n"
-    "                  the single P. MUSA_TRACE=path supplies a default\n"
+    "                  (Perfetto-loadable) to P; MUSA_TRACE=path sets a\n"
+    "                  default\n"
     "  --metrics-out P write the flat metric snapshot JSON to P (defaults\n"
     "                  to <cache>.metrics.json whenever tracing is armed)\n"
     "  --help          print this text and exit 0\n"
     "exit codes: 0 success, 1 strict-mode abort, 2 bad usage, 3 sweep\n"
-    "completed with quarantined points\n";
-
-/// Strict non-negative decimal parse: the whole string must be digits.
-/// sscanf-style parsing accepted "1/2x" and "0x1/2"; a sharded sweep run
-/// from a typo silently computes the wrong slice of the space, so flag
-/// values that are not pure numbers must die with exit 2 instead.
-bool parse_uint(const char* s, long* out) {
-  if (s == nullptr || *s == '\0') return false;
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0' || v < 0) return false;
-  *out = v;
-  return true;
-}
+    "incomplete (quarantined points or lost journal records)\n";
 
 bool parse_positive(const char* s, double* out) {
   if (s == nullptr || *s == '\0') return false;
@@ -133,24 +101,9 @@ bool parse_positive(const char* s, double* out) {
   return true;
 }
 
-bool parse_shard(const char* spec, musa::core::SweepOptions* opts) {
-  const char* slash = std::strchr(spec, '/');
-  if (slash == nullptr) return false;
-  const std::string index_part(spec, slash);
-  long i = 0, n = 0;
-  if (!parse_uint(index_part.c_str(), &i) || !parse_uint(slash + 1, &n))
-    return false;
-  if (n < 1 || i >= n) return false;
-  opts->shard_index = static_cast<int>(i);
-  opts->shard_count = static_cast<int>(n);
-  return true;
-}
-
 void print_report(const musa::core::SweepReport& rep) {
-  std::printf("sweep report: %llu total, %llu in shard, %llu resumed, "
-              "%llu computed%s\n",
+  std::printf("sweep report: %llu total, %llu resumed, %llu computed%s\n",
               static_cast<unsigned long long>(rep.total),
-              static_cast<unsigned long long>(rep.shard_points),
               static_cast<unsigned long long>(rep.resumed),
               static_cast<unsigned long long>(rep.computed),
               rep.finalized ? ", cache finalized" : "");
@@ -226,16 +179,11 @@ void print_quarantine(const musa::core::SweepReport& rep) {
               "--retry-failed to recompute exactly these points\n");
 }
 
-/// Export pass run after every sweep, successful or quarantined. A run that
-/// did not finalize the sweep (an in-flight shard, or quarantines holding
-/// the cache back) parks its events in a JSONL sidecar; the finalizing run
-/// splices every sidecar plus its own events into the single merged Chrome
-/// trace and removes the sidecars. Export failures are reported, never
-/// fatal — observability must not turn a finished sweep into an error.
+/// Export pass run after every sweep, successful or quarantined. Export
+/// failures are reported, never fatal — observability must not turn a
+/// finished sweep into an error.
 void export_observability(const std::string& trace_out,
-                          const std::string& metrics_path,
-                          const musa::core::SweepReport& rep,
-                          const musa::core::SweepOptions& opts) {
+                          const std::string& metrics_path) {
   using namespace musa;
   try {
     if (!trace_out.empty()) {
@@ -244,37 +192,11 @@ void export_observability(const std::string& trace_out,
         std::fprintf(stderr,
                      "[obs] trace ring wrapped: %llu oldest event(s) lost\n",
                      static_cast<unsigned long long>(obs::Tracer::dropped()));
-      obs::TraceMeta meta;
-      meta.pid = opts.shard_index;
-      meta.process_name =
-          opts.shard_count > 1
-              ? "run_dse shard " + std::to_string(opts.shard_index) + "/" +
-                    std::to_string(opts.shard_count)
-              : "run_dse";
-      const std::vector<std::string> sidecars =
-          obs::find_trace_sidecars(trace_out);
-      if (!rep.finalized) {
-        const std::string sidecar = obs::trace_sidecar_path(
-            trace_out, opts.shard_index, opts.shard_count);
-        obs::write_trace_jsonl(sidecar, events, obs::Tracer::epoch_unix_us(),
-                               meta);
-        std::printf("trace sidecar written: %s (%zu event(s); merges into "
-                    "%s when the sweep finalizes)\n",
-                    sidecar.c_str(), events.size(), trace_out.c_str());
-      } else if (events.empty() && sidecars.empty() &&
-                 CsvDoc::file_exists(trace_out)) {
-        // A pure cache-hit rerun after the trace was already merged: leave
-        // the merged timeline alone instead of overwriting it with nothing.
-        std::printf("trace already merged: %s (left untouched)\n",
-                    trace_out.c_str());
-      } else {
-        obs::write_chrome_trace(trace_out, events,
-                                obs::Tracer::epoch_unix_us(), meta, sidecars);
-        for (const auto& p : sidecars) std::remove(p.c_str());
-        std::printf("trace written: %s (%zu local event(s), %zu sidecar(s) "
-                    "merged; load in Perfetto or chrome://tracing)\n",
-                    trace_out.c_str(), events.size(), sidecars.size());
-      }
+      obs::write_chrome_trace(trace_out, events, obs::Tracer::epoch_unix_us(),
+                              "run_dse");
+      std::printf("trace written: %s (%zu event(s); load in Perfetto or "
+                  "chrome://tracing)\n",
+                  trace_out.c_str(), events.size());
     }
     if (!metrics_path.empty()) {
       const obs::MetricsSnapshot snap = obs::MetricRegistry::global().snapshot();
@@ -325,14 +247,6 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(argv[a], "--inject") == 0 && a + 1 < argc) {
       inject_spec = argv[++a];
-    } else if (std::strcmp(argv[a], "--shard") == 0 && a + 1 < argc) {
-      if (!parse_shard(argv[++a], &opts)) {
-        std::fprintf(stderr,
-                     "bad --shard spec '%s' (want decimal i/N with "
-                     "0 <= i < N)\n%s",
-                     argv[a], kUsage);
-        return 2;
-      }
     } else {
       std::fprintf(stderr, "%s", kUsage);
       return 2;
@@ -371,12 +285,6 @@ int main(int argc, char** argv) {
   }
 
   core::Pipeline pipeline;
-  if (opts.shard_count > 1 && bench::dse_cache_path().empty()) {
-    std::fprintf(stderr,
-                 "--shard needs a cache path to merge journals into; "
-                 "set MUSA_DSE_CACHE\n");
-    return 2;
-  }
   core::DseEngine dse(pipeline, bench::dse_cache_path(), opts);
 
   if (bench_sweep)
@@ -384,8 +292,6 @@ int main(int argc, char** argv) {
   else
     std::printf("MUSA-DSE full sweep (864 configs x 5 apps = 4320 points)\n");
   std::printf("cache file: %s\n", bench::dse_cache_path().c_str());
-  if (opts.shard_count > 1)
-    std::printf("shard %d of %d\n", opts.shard_index, opts.shard_count);
   if (opts.point_timeout_s > 0.0)
     std::printf("per-point watchdog: %.3gs\n", opts.point_timeout_s);
   if (!trace_out.empty()) {
@@ -411,15 +317,10 @@ int main(int argc, char** argv) {
   }
   print_report(rep);
   print_quarantine(rep);
-  // Export before any early exit: quarantined and shard-partial runs are
-  // exactly the ones whose timelines are worth inspecting.
-  export_observability(trace_out, metrics_out, rep, opts);
-  if (rep.quarantined > 0) return 3;
-  if (!rep.finalized) {
-    std::printf("shard journal written; rerun (any shard spec, or none) "
-                "once every shard has finished to merge the cache\n");
-    return 0;
-  }
+  // Export before any early exit: quarantined runs are exactly the ones
+  // whose timelines are worth inspecting.
+  export_observability(trace_out, metrics_out);
+  if (!rep.finalized) return 3;
 
   const auto& results = dse.results();
   std::printf("sweep complete: %zu simulation results available\n",

@@ -22,7 +22,7 @@ enum class ErrorClass {
 };
 
 /// Stable lowercase names ("config", "io", ...) — the journal's FAIL-row
-/// encoding of the class, shared with tools/journal_status.py.
+/// encoding of the class, which `dse_lint --journal` checks.
 inline const char* error_class_name(ErrorClass cls) {
   switch (cls) {
     case ErrorClass::kConfig: return "config";

@@ -1,11 +1,9 @@
 #include "common/journal.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -328,29 +326,6 @@ void ResultJournal::discard() {
     out_.reset();
   }
   std::remove(path_.c_str());
-}
-
-std::vector<std::string> find_journals(const std::string& artifact_path) {
-  namespace fs = std::filesystem;
-  const fs::path artifact(artifact_path);
-  const fs::path dir =
-      artifact.has_parent_path() ? artifact.parent_path() : fs::path(".");
-  const std::string prefix = artifact.filename().string() + ".";
-  const std::string suffix = ".journal";
-
-  std::vector<std::string> out;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file(ec)) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.size() < prefix.size() + suffix.size() - 1) continue;
-    if (name.compare(0, prefix.size(), prefix) != 0) continue;
-    if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0)
-      continue;
-    out.push_back((dir / name).string());
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 }  // namespace musa

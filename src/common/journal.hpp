@@ -1,11 +1,11 @@
 // Crash-safe, append-only result journal for long-running sweeps.
 //
-// A journal is a sidecar file next to a final CSV artifact. Every completed
-// sweep point appends one checksummed record that is flushed and fsync'd
-// before the writer moves on, so a killed process loses at most the point it
-// was simulating. On load, records with a bad checksum, wrong width, or a
-// truncated tail are dropped (and counted) — never silently accepted — and
-// the sweep recomputes exactly those points.
+// A journal is the file "<artifact>.journal" next to a final CSV artifact.
+// Every completed sweep point appends one checksummed record that is flushed
+// and fsync'd before the writer moves on, so a killed process loses at most
+// the point it was simulating. On load, records with a bad checksum, wrong
+// width, or a truncated tail are dropped (and counted) — never silently
+// accepted — and the sweep recomputes exactly those points.
 //
 // File layout (plain text):
 //
@@ -137,11 +137,5 @@ class ResultJournal {
   AppendMutator mutator_;
   mutable std::mutex mu_;
 };
-
-/// Every journal that belongs to `artifact_path`, i.e. files named
-/// "<artifact>.journal" or "<artifact>.<anything>.journal" in the same
-/// directory (shard journals use "<artifact>.shard-i-of-N.journal").
-/// Sorted for deterministic merge order.
-std::vector<std::string> find_journals(const std::string& artifact_path);
 
 }  // namespace musa

@@ -42,14 +42,7 @@ DseEngine::DseEngine(Pipeline& pipeline, std::string cache_path,
                      SweepOptions options)
     : pipeline_(pipeline),
       cache_path_(std::move(cache_path)),
-      options_(std::move(options)) {
-  MUSA_CHECK_MSG(options_.shard_count >= 1 &&
-                     options_.shard_index >= 0 &&
-                     options_.shard_index < options_.shard_count,
-                 "shard index must satisfy 0 <= i < N");
-  MUSA_CHECK_MSG(options_.shard_count == 1 || !cache_path_.empty(),
-                 "sharded sweeps need a cache path to merge journals into");
-}
+      options_(std::move(options)) {}
 
 std::vector<std::string> DseEngine::csv_header() {
   return {"app",        "core",      "cache",     "freq_ghz", "vector_bits",
@@ -198,9 +191,7 @@ SweepPlan make_sweep_plan(const SweepOptions& options) {
 }
 
 std::string DseEngine::journal_path() const {
-  if (options_.shard_count == 1) return cache_path_ + ".journal";
-  return cache_path_ + ".shard-" + std::to_string(options_.shard_index) +
-         "-of-" + std::to_string(options_.shard_count) + ".journal";
+  return cache_path_ + ".journal";
 }
 
 bool DseEngine::load_cache(
@@ -298,13 +289,9 @@ SweepReport DseEngine::sweep(bool force) {
   rep.statically_skipped = plan.statically_skipped;
   rep.analysis_boxes = plan.analysis_boxes;
   rep.total = plan.size();
-  for (std::uint64_t i = 0; i < plan.size(); ++i)
-    if (i % options_.shard_count ==
-        static_cast<std::uint64_t>(options_.shard_index))
-      ++rep.shard_points;
 
   if (ready_) {
-    rep.resumed = rep.shard_points;
+    rep.resumed = rep.total;
     rep.finalized = true;
     report_ = rep;
     return rep;
@@ -370,8 +357,7 @@ SweepReport DseEngine::sweep(bool force) {
   };
 
   if (cache_path_.empty()) {
-    // Caching disabled: plain in-memory sweep (always unsharded; checked in
-    // the constructor).
+    // Caching disabled: plain in-memory sweep.
     results_.assign(plan.size(), SimResult{});
     std::vector<std::uint64_t> all(plan.size());
     for (std::uint64_t i = 0; i < plan.size(); ++i) all[i] = i;
@@ -386,12 +372,11 @@ SweepReport DseEngine::sweep(bool force) {
   std::size_t cache_invalid = 0;
   if (CsvDoc::file_exists(cache_path_) &&
       load_cache(plan, &salvage, &cache_invalid)) {
-    // A crash between cache finalize and journal cleanup can leave stale
-    // journals behind; the complete cache supersedes them.
-    for (const auto& path : find_journals(cache_path_))
-      std::remove(path.c_str());
+    // A crash between cache finalize and journal cleanup can leave a stale
+    // journal behind; the complete cache supersedes it.
+    std::remove(journal_path().c_str());
     ready_ = true;
-    rep.resumed = rep.shard_points;
+    rep.resumed = rep.total;
     rep.finalized = true;
     report_ = rep;
     return rep;
@@ -399,8 +384,8 @@ SweepReport DseEngine::sweep(bool force) {
 
   rep.invalid += cache_invalid;
 
-  // Resume state: this shard's journal, seeded with whatever a partial
-  // cache could contribute, plus read-only views of sibling journals.
+  // Resume state: the journal, seeded with whatever a partial cache could
+  // contribute.
   ResultJournal journal(journal_path(), csv_header());
   rep.dropped += journal.dropped_on_load();
   if (options_.verbose && journal.dropped_on_load() > 0)
@@ -425,29 +410,6 @@ SweepReport DseEngine::sweep(bool force) {
           return out;
         });
 
-  const auto merge_siblings = [&](ResultJournal::Entries& known,
-                                  ResultJournal::Fails& fails) {
-    for (const auto& path : find_journals(cache_path_)) {
-      if (path == journal.path()) continue;
-      ResultJournal::LoadResult lr = ResultJournal::read(path, csv_header());
-      if (lr.schema_mismatch) {
-        if (options_.verbose)
-          std::fprintf(stderr, "[dse] ignoring schema-mismatched journal %s\n",
-                       path.c_str());
-        continue;
-      }
-      rep.dropped += lr.dropped;
-      for (auto& [key, row] : lr.entries)
-        known.emplace(key, std::move(row));
-      for (auto& [key, fail] : lr.fails)
-        fails.emplace(key, std::move(fail));
-    }
-    // Good beats FAIL across journals too: a point one shard quarantined
-    // but a sibling later completed is not quarantined.
-    for (auto it = fails.begin(); it != fails.end();)
-      it = known.count(it->first) != 0 ? fails.erase(it) : ++it;
-  };
-
   // Journaled rows passed their checksum, but may still predate a model fix
   // or carry invariant-violating metrics: drop those so the points recompute
   // (appending under the same key supersedes the bad record).
@@ -470,27 +432,22 @@ SweepReport DseEngine::sweep(bool force) {
   };
 
   ResultJournal::Entries known = journal.entries();
-  ResultJournal::Fails fails = journal.fails();
-  merge_siblings(known, fails);
   drop_invalid(known, /*count=*/true);
 
   std::vector<std::uint64_t> missing;
   std::uint64_t skipped_quarantined = 0;
   for (std::uint64_t i = 0; i < plan.size(); ++i) {
-    if (i % options_.shard_count !=
-        static_cast<std::uint64_t>(options_.shard_index))
-      continue;
     if (known.find(plan.keys[i]) != known.end()) continue;
     // A quarantined point is "known to fail": skip it on resume so a
     // deterministic failure is not re-simulated run after run — unless the
     // caller explicitly asked to retry the quarantine set.
-    if (!options_.retry_failed && fails.count(plan.keys[i]) != 0) {
+    if (!options_.retry_failed && journal.contains_fail(plan.keys[i])) {
       ++skipped_quarantined;
       continue;
     }
     missing.push_back(i);
   }
-  rep.resumed = rep.shard_points - missing.size() - skipped_quarantined;
+  rep.resumed = rep.total - missing.size() - skipped_quarantined;
   if (options_.verbose && skipped_quarantined > 0)
     std::fprintf(stderr,
                  "[dse] skipping %llu quarantined point(s); rerun with "
@@ -498,21 +455,18 @@ SweepReport DseEngine::sweep(bool force) {
                  static_cast<unsigned long long>(skipped_quarantined));
   if (options_.verbose && rep.resumed > 0)
     std::fprintf(stderr,
-                 "[dse] resuming: %llu of this shard's %llu points already "
-                 "journaled\n",
+                 "[dse] resuming: %llu of %llu points already journaled\n",
                  static_cast<unsigned long long>(rep.resumed),
-                 static_cast<unsigned long long>(rep.shard_points));
+                 static_cast<unsigned long long>(rep.total));
 
   run_points(missing, &journal);
 
   // Finalize the moment cache-worthy coverage exists: cache rows are
   // emitted in plan order from the journalled strings, so an interrupted
-  // (or sharded) sweep produces a byte-identical cache to an uninterrupted
-  // one.
+  // sweep produces a byte-identical cache to an uninterrupted one.
   known = journal.entries();
-  fails = journal.fails();
-  merge_siblings(known, fails);
   drop_invalid(known, /*count=*/false);  // already counted before computing
+  const ResultJournal::Fails& fails = journal.fails();
 
   // The quarantine set after this call, sorted for a stable report.
   rep.quarantined = fails.size();
@@ -545,25 +499,15 @@ SweepReport DseEngine::sweep(bool force) {
     }
     doc.save(cache_path_);
     journal.discard();
-    for (const auto& path : find_journals(cache_path_))
-      std::remove(path.c_str());
     ready_ = true;
     rep.finalized = true;
   } else if (options_.verbose) {
-    if (rep.quarantined > 0)
-      std::fprintf(stderr,
-                   "[dse] sweep incomplete: %llu point(s) quarantined "
-                   "(%llu known of %llu total); cache not finalized\n",
-                   static_cast<unsigned long long>(rep.quarantined),
-                   static_cast<unsigned long long>(known.size()),
-                   static_cast<unsigned long long>(plan.size()));
-    else
-      std::fprintf(stderr,
-                   "[dse] shard %d/%d complete (%llu known of %llu total); "
-                   "rerun after the sibling shards finish to merge\n",
-                   options_.shard_index, options_.shard_count,
-                   static_cast<unsigned long long>(known.size()),
-                   static_cast<unsigned long long>(plan.size()));
+    std::fprintf(stderr,
+                 "[dse] sweep incomplete: %llu known of %llu total, %llu "
+                 "quarantined; cache not finalized\n",
+                 static_cast<unsigned long long>(known.size()),
+                 static_cast<unsigned long long>(plan.size()),
+                 static_cast<unsigned long long>(rep.quarantined));
   }
   report_ = rep;
   return rep;
@@ -572,8 +516,7 @@ SweepReport DseEngine::sweep(bool force) {
 void DseEngine::clear_cache() {
   if (cache_path_.empty()) return;
   std::remove(cache_path_.c_str());
-  for (const auto& path : find_journals(cache_path_))
-    std::remove(path.c_str());
+  std::remove(journal_path().c_str());
 }
 
 void DseEngine::ensure_results() {
@@ -586,8 +529,8 @@ void DseEngine::ensure_results() {
                        "is fixed",
                    ErrorClass::kModel);
   MUSA_CHECK_MSG(ready_,
-                 "sweep results unavailable: sibling shards have not "
-                 "finished; rerun once every shard's journal exists");
+                 "sweep results unavailable: journal records were lost; "
+                 "rerun to recompute the missing points");
 }
 
 const std::vector<SimResult>& DseEngine::results() {

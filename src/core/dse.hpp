@@ -5,9 +5,7 @@
 // crash-safe journal (common/journal.hpp) keyed by (app, config-id), so a
 // killed sweep resumes exactly where it stopped instead of restarting all
 // 4320 points, and the final CSV cache is written atomically only once the
-// point set is complete. Sweeps can also be sharded across processes or
-// machines (`SweepOptions::shard_*`); shard journals merge into the same
-// cache the moment the union covers the plan.
+// point set is complete.
 //
 // Figures 5–10 all normalise over the same sweep, using the paper's
 // methodology: every simulation is divided by the simulation sharing *all
@@ -74,12 +72,8 @@ struct NormStat {
   int n = 0;
 };
 
-/// How a sweep is executed. Defaults reproduce the paper's full grid in one
-/// process; shards split the plan round-robin for multi-process /
-/// multi-machine runs whose journals merge into one cache.
+/// How a sweep is executed. Defaults reproduce the paper's full grid.
 struct SweepOptions {
-  int shard_index = 0;
-  int shard_count = 1;
   bool verbose = true;  // progress / repair warnings on stderr
 
   /// Cross-layer verification (src/verify): every config in the plan is
@@ -168,8 +162,8 @@ struct SweepPlan {
 /// Builds the plan a sweep with `options` would run: explicit configs/apps
 /// when given, an analyzer-filtered grid when `options.axes` is set, the
 /// paper's full space otherwise. Deterministic — equal options produce an
-/// identical plan, which is what lets shards built in separate processes
-/// (`SweepOptions::shard_*`) journal under the same keys.
+/// identical plan, which is what lets a resumed sweep (or the DSE server)
+/// find earlier journal rows under the same keys.
 SweepPlan make_sweep_plan(const SweepOptions& options);
 
 /// One quarantined sweep point, for the post-sweep report.
@@ -184,8 +178,7 @@ struct QuarantinePoint {
 /// What one sweep() call did — the engine's observability surface.
 struct SweepReport {
   std::uint64_t total = 0;         // points in the full plan
-  std::uint64_t shard_points = 0;  // points owned by this shard
-  std::uint64_t resumed = 0;       // shard points already in cache/journals
+  std::uint64_t resumed = 0;       // points already in cache/journal
   std::uint64_t computed = 0;      // points simulated successfully this call
   std::uint64_t dropped = 0;       // corrupt journal records discarded
   std::uint64_t invalid = 0;       // loaded rows failing invariant checks
@@ -205,27 +198,26 @@ struct SweepReport {
 class DseEngine {
  public:
   /// `cache_path`: CSV file for result caching ("" disables caching and
-  /// journaling; sharding then requires a cache to merge into).
+  /// journaling).
   DseEngine(Pipeline& pipeline, std::string cache_path,
             SweepOptions options = {});
 
   /// Sweep results, computed on first use (or loaded from the cache file).
-  /// Throws if this engine is a shard whose siblings have not finished —
-  /// results only exist once the plan is fully covered.
+  /// Throws if quarantined points keep the plan from being fully covered.
   const std::vector<SimResult>& results();
 
-  /// Ensures this shard's points exist, resuming from the journal and a
+  /// Ensures every plan point exists, resuming from the journal and a
   /// (possibly partial) cache: a truncated or under-sampled cache is
   /// detected, warned about, and repaired by recomputing exactly the
-  /// missing points. With `force`, cache and journals are deleted first.
-  /// Finalizes (atomically writes the cache, removes journals) as soon as
-  /// the union of cache + all shard journals covers the whole plan.
+  /// missing points. With `force`, cache and journal are deleted first.
+  /// Finalizes (atomically writes the cache, removes the journal) as soon
+  /// as cache + journal cover the whole plan.
   SweepReport sweep(bool force = false);
 
   /// Forces a fresh sweep, replacing any cache.
   void recompute() { sweep(/*force=*/true); }
 
-  /// Deletes the cache file and every journal belonging to it.
+  /// Deletes the cache file and its journal.
   void clear_cache();
 
   /// Report of the most recent sweep() (empty before the first one).

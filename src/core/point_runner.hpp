@@ -6,10 +6,10 @@
 // invariants, and journals either the result row or a quarantine (FAIL)
 // record. Transient io-class errors retry in place with full-jitter
 // exponential backoff; everything else quarantines (or, in fail-fast mode,
-// cancels the sweep and rethrows). Batch sweeps, shards and the server
-// rely on the executor being *the same code*: a point computed by any of
-// them journals byte-identical rows, which is what makes shard journals
-// mergeable and duplicate recomputation harmless.
+// cancels the sweep and rethrows). Batch sweeps and the server rely on the
+// executor being *the same code*: a point computed by either journals
+// byte-identical rows, which is what makes a resumed journal trustworthy
+// and duplicate recomputation harmless.
 #pragma once
 
 #include <atomic>

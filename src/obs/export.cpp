@@ -1,8 +1,6 @@
 #include "obs/export.hpp"
 
-#include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 
 #include "common/check.hpp"
@@ -45,28 +43,24 @@ void write_file_or_throw(const std::string& path, const std::string& body) {
     throw SimError("cannot write " + path, ErrorClass::kIo);
 }
 
-std::string metadata_event_json(const TraceMeta& meta) {
-  char buf[96];
-  std::snprintf(buf, sizeof buf,
-                "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,"
-                "\"tid\":0,\"args\":{\"name\":\"",
-                meta.pid);
-  return std::string(buf) + json_escape(meta.process_name) + "\"}}";
+std::string metadata_event_json(const std::string& process_name) {
+  return "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
+         "\"args\":{\"name\":\"" +
+         json_escape(process_name) + "\"}}";
 }
 
 }  // namespace
 
 std::string trace_event_json(const TraceEvent& ev,
-                             std::uint64_t epoch_unix_us,
-                             const TraceMeta& meta) {
+                             std::uint64_t epoch_unix_us) {
   char head[192];
   std::snprintf(head, sizeof head,
                 "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%c\",%s"
-                "\"ts\":%llu,\"dur\":%llu,\"pid\":%d,\"tid\":%u,\"args\":{",
+                "\"ts\":%llu,\"dur\":%llu,\"pid\":0,\"tid\":%u,\"args\":{",
                 ev.name, ev.phase == 'i' ? "event" : "stage", ev.phase,
                 ev.phase == 'i' ? "\"s\":\"t\"," : "",
                 static_cast<unsigned long long>(epoch_unix_us + ev.ts_us),
-                static_cast<unsigned long long>(ev.dur_us), meta.pid,
+                static_cast<unsigned long long>(ev.dur_us),
                 static_cast<unsigned>(ev.tid));
   std::string out = head;
   bool first = true;
@@ -90,71 +84,18 @@ std::string trace_event_json(const TraceEvent& ev,
   return out;
 }
 
-void write_trace_jsonl(const std::string& path,
-                       const std::vector<TraceEvent>& events,
-                       std::uint64_t epoch_unix_us, const TraceMeta& meta) {
-  std::string body = metadata_event_json(meta);
-  body += '\n';
-  for (const TraceEvent& ev : events) {
-    body += trace_event_json(ev, epoch_unix_us, meta);
-    body += '\n';
-  }
-  write_file_or_throw(path, body);
-}
-
 void write_chrome_trace(const std::string& path,
                         const std::vector<TraceEvent>& events,
-                        std::uint64_t epoch_unix_us, const TraceMeta& meta,
-                        const std::vector<std::string>& sidecar_paths) {
+                        std::uint64_t epoch_unix_us,
+                        const std::string& process_name) {
   std::string body = "{\"traceEvents\":[\n";
-  bool first = true;
-  const auto push = [&](const std::string& line) {
-    if (line.empty()) return;
-    if (!first) body += ",\n";
-    first = false;
-    body += line;
-  };
-  push(metadata_event_json(meta));
-  // Sidecar lines are already complete event objects on the shared wall
-  // clock; splice them in verbatim.
-  for (const std::string& sidecar : sidecar_paths) {
-    std::ifstream in(sidecar);
-    if (!in) continue;  // a shard that never traced is not an error
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty() || line.front() != '{') continue;
-      push(line);
-    }
+  body += metadata_event_json(process_name);
+  for (const TraceEvent& ev : events) {
+    body += ",\n";
+    body += trace_event_json(ev, epoch_unix_us);
   }
-  for (const TraceEvent& ev : events)
-    push(trace_event_json(ev, epoch_unix_us, meta));
   body += "\n],\"displayTimeUnit\":\"ms\"}\n";
   write_file_or_throw(path, body);
-}
-
-std::string trace_sidecar_path(const std::string& trace_path, int shard_index,
-                               int shard_count) {
-  return trace_path + ".shard-" + std::to_string(shard_index) + "-of-" +
-         std::to_string(shard_count) + ".events.jsonl";
-}
-
-std::vector<std::string> find_trace_sidecars(const std::string& trace_path) {
-  namespace fs = std::filesystem;
-  const fs::path artifact(trace_path);
-  const fs::path dir =
-      artifact.has_parent_path() ? artifact.parent_path() : fs::path(".");
-  const std::string stem = artifact.filename().string() + ".";
-  std::vector<std::string> out;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() <= stem.size() || name.compare(0, stem.size(), stem) != 0)
-      continue;
-    if (!name.ends_with(".events.jsonl")) continue;
-    out.push_back(entry.path().string());
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 void write_metrics_json(const std::string& path,

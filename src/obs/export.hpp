@@ -1,16 +1,6 @@
 // Exporters for the observability subsystem (DESIGN.md §7e): Chrome
-// trace_event JSON (loadable in Perfetto / chrome://tracing), the per-shard
-// JSONL sidecar protocol that lets separate shard *processes* contribute to
-// one merged timeline, a flat metrics.json snapshot, and the one-screen
-// end-of-sweep summary table.
-//
-// Sidecar protocol: a sharded run cannot know when its siblings finish, so
-// each traced process writes `<trace>.{tag}.events.jsonl` — one complete
-// Chrome trace_event object per line, timestamps already anchored to wall
-// clock (Tracer::epoch_unix_us) so processes share a time base. The run
-// that finalizes the sweep merges every sidecar plus its own events into
-// the single `<trace>` JSON and deletes the sidecars — the same
-// merge-on-finalize discipline as the result journals.
+// trace_event JSON (loadable in Perfetto / chrome://tracing), a flat
+// metrics.json snapshot, and the one-screen end-of-sweep summary table.
 //
 // Exports are best-effort observability artifacts, not crash-safe state:
 // they use plain buffered writes, never the fsync'd journal machinery.
@@ -24,40 +14,18 @@
 
 namespace musa::obs {
 
-/// Viewer identity of the emitting process: `pid` becomes the Chrome trace
-/// pid (one lane per shard), `process_name` its label.
-struct TraceMeta {
-  int pid = 0;
-  std::string process_name = "musa";
-};
-
 /// One event as a complete Chrome trace_event JSON object (no trailing
 /// newline). `epoch_unix_us` is added to the event's relative timestamp.
 std::string trace_event_json(const TraceEvent& ev,
-                             std::uint64_t epoch_unix_us,
-                             const TraceMeta& meta);
+                             std::uint64_t epoch_unix_us);
 
-/// Writes events as JSONL (one object per line, metadata first).
-/// Throws SimError{io} on write failure.
-void write_trace_jsonl(const std::string& path,
-                       const std::vector<TraceEvent>& events,
-                       std::uint64_t epoch_unix_us, const TraceMeta& meta);
-
-/// Writes a self-contained Chrome trace JSON from in-process events plus
-/// any already-serialised sidecar JSONL files (their lines are spliced in
-/// verbatim). Perfetto and chrome://tracing load the result directly.
+/// Writes a self-contained Chrome trace JSON: a process-name metadata event
+/// followed by `events`. Perfetto and chrome://tracing load the result
+/// directly. Throws SimError{io} on write failure.
 void write_chrome_trace(const std::string& path,
                         const std::vector<TraceEvent>& events,
-                        std::uint64_t epoch_unix_us, const TraceMeta& meta,
-                        const std::vector<std::string>& sidecar_paths = {});
-
-/// Sidecar path for one shard process: `<trace>.shard-i-of-N.events.jsonl`.
-std::string trace_sidecar_path(const std::string& trace_path, int shard_index,
-                               int shard_count);
-
-/// Every sidecar belonging to `trace_path`, sorted for deterministic merge
-/// order.
-std::vector<std::string> find_trace_sidecars(const std::string& trace_path);
+                        std::uint64_t epoch_unix_us,
+                        const std::string& process_name);
 
 /// Flat JSON snapshot of every registered metric:
 /// {"counters": {...}, "gauges": {...}, "histograms": {name: {count, sum,

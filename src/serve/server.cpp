@@ -194,12 +194,12 @@ struct DseServer::Impl {
     std::string prev = read_file(fp_path);
     while (!prev.empty() && (prev.back() == '\n' || prev.back() == '\r'))
       prev.pop_back();
+    const std::string journal_path = options.cache_path + ".journal";
     if (!prev.empty() && prev != want) {
       // The cache was computed under different pipeline options: rows in
-      // it answer a different model. Discard every journal belonging to
-      // the artifact rather than serve stale bytes.
-      for (const auto& stale : find_journals(options.cache_path))
-        std::remove(stale.c_str());
+      // its journal answer a different model. Discard the journal rather
+      // than serve stale bytes.
+      std::remove(journal_path.c_str());
       s_invalidated.store(1);
       if (options.verbose)
         std::fprintf(stderr,
@@ -207,7 +207,7 @@ struct DseServer::Impl {
                      prev.c_str(), want.c_str());
     }
     atomic_write_file(fp_path, want + "\n");
-    journal = std::make_unique<ResultJournal>(options.cache_path + ".journal",
+    journal = std::make_unique<ResultJournal>(journal_path,
                                               core::DseEngine::csv_header());
     cached_points.store(journal->size());
   }

@@ -160,51 +160,4 @@ AgreementReport check_agreement(const core::SpaceAxes& axes,
   return agree;
 }
 
-double MetricBounds::min_time_s(double instructions, double dram_bytes) const {
-  double t = 0.0;
-  if (instr_per_s_hi > 0.0) t = std::max(t, instructions / instr_per_s_hi);
-  if (bw_gbps_hi > 0.0) t = std::max(t, dram_bytes / (bw_gbps_hi * 1e9));
-  return t;
-}
-
-MetricBounds bound_metrics(const core::SpaceAxes& axes, const Box& box) {
-  MUSA_CHECK_MSG(box.points() > 0, "bound_metrics: empty box");
-  MetricBounds b;
-
-  // result.ipc-bound lifted: IPC <= issue_width × lanes, lanes =
-  // max(1, vector_bits / 64); both factors are maximised at the box's
-  // upper corner of their axes.
-  int vec_hi = axes.vector_bits[box.begin[SpaceAxes::kDimVector]];
-  for (int i = box.begin[SpaceAxes::kDimVector];
-       i < box.end[SpaceAxes::kDimVector]; ++i)
-    vec_hi = std::max(vec_hi, axes.vector_bits[i]);
-  const double lanes = std::max(1, vec_hi / 64);
-  for (int i = box.begin[SpaceAxes::kDimCore]; i < box.end[SpaceAxes::kDimCore];
-       ++i)
-    b.ipc_hi = std::max(b.ipc_hi, axes.core_presets[i].issue_width * lanes);
-
-  double freq_hi = 0.0;
-  for (int i = box.begin[SpaceAxes::kDimFreq]; i < box.end[SpaceAxes::kDimFreq];
-       ++i)
-    freq_hi = std::max(freq_hi, axes.freqs_ghz[i]);
-  int cores_hi = 0;
-  for (int i = box.begin[SpaceAxes::kDimCores];
-       i < box.end[SpaceAxes::kDimCores]; ++i)
-    cores_hi = std::max(cores_hi, axes.core_counts[i]);
-  b.instr_per_s_hi = cores_hi * freq_hi * 1e9 * b.ipc_hi;
-
-  // result.bandwidth lifted: achieved GB/s <= channels × per-channel peak.
-  double peak_hi = 0.0;
-  for (int i = box.begin[SpaceAxes::kDimTech]; i < box.end[SpaceAxes::kDimTech];
-       ++i)
-    peak_hi = std::max(peak_hi,
-                       dramsim::timing_for(axes.mem_techs[i]).peak_gbps());
-  int ch_hi = 0;
-  for (int i = box.begin[SpaceAxes::kDimChannels];
-       i < box.end[SpaceAxes::kDimChannels]; ++i)
-    ch_hi = std::max(ch_hi, axes.mem_channels[i]);
-  b.bw_gbps_hi = ch_hi * peak_hi;
-  return b;
-}
-
 }  // namespace musa::verify

@@ -9,11 +9,6 @@
 // pointwise RuleSet::check() — the paper's 864-point grid is one feasible
 // box, and a ≥10⁶-point extended grid resolves in hundreds of boxes, i.e.
 // O(boxes · rules) work instead of O(points · rules).
-//
-// On top of the partition, MetricBounds lifts the result invariants
-// (result.ipc-bound, result.bandwidth — src/verify/invariants.cpp) to
-// static per-box bounds, the enabling layer for dominance pruning in guided
-// search (analysis/pareto.hpp: prune_dominated).
 #pragma once
 
 #include <array>
@@ -100,26 +95,5 @@ struct AgreementReport {
 AgreementReport check_agreement(const core::SpaceAxes& axes,
                                 const AnalysisReport& report,
                                 std::size_t max_examples = 8);
-
-/// Static metric bounds over a box — the result invariants lifted from
-/// per-point checks to per-region bounds (monotone in the box's upper
-/// corner, so evaluating at the corner bounds every point):
-///   · ipc_hi: issue_width × vector lanes (result.ipc-bound),
-///   · instr_per_s_hi: cores × freq × ipc_hi,
-///   · bw_gbps_hi: channels × per-channel peak (result.bandwidth).
-/// min_time_s() combines them into a roofline-style lower bound on region
-/// time, usable as a CostBound for dominance pruning before simulating.
-struct MetricBounds {
-  double ipc_hi = 0.0;
-  double instr_per_s_hi = 0.0;
-  double bw_gbps_hi = 0.0;
-
-  /// Lower bound on the time to retire `instructions` while moving
-  /// `dram_bytes` through memory: no point in the box can beat both the
-  /// compute and the bandwidth roofline.
-  double min_time_s(double instructions, double dram_bytes) const;
-};
-
-MetricBounds bound_metrics(const core::SpaceAxes& axes, const Box& box);
 
 }  // namespace musa::verify

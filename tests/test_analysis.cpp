@@ -129,39 +129,6 @@ TEST(Pareto, HypervolumeRejectsBadReference) {
   EXPECT_THROW(hypervolume(front, 1.0, 1.0), SimError);
 }
 
-TEST(Pareto, PrunesRegionsThatCannotImproveTheFront) {
-  // Front {(1,3),(2,1)}. A region whose best corner is dominated (or merely
-  // matched) by a front point is pruned; a corner strictly better in either
-  // coordinate survives.
-  const auto front = pareto_front({{1.0, 3.0, 0}, {2.0, 1.0, 1}});
-  const auto kept = prune_dominated(front, {
-      {3.0, 2.0, 10},   // (2,1) <= (3,2): pruned
-      {2.0, 1.0, 11},   // exactly matched by (2,1): cannot *strictly* improve
-      {0.5, 9.0, 12},   // left of the whole front: survives
-      {1.5, 2.0, 13},   // beats (1,3) in y before (2,1) applies: survives
-      {9.0, 0.5, 14},   // below the whole front: survives
-  });
-  ASSERT_EQ(kept.size(), 3u);
-  EXPECT_EQ(kept[0].tag, 12u);
-  EXPECT_EQ(kept[1].tag, 13u);
-  EXPECT_EQ(kept[2].tag, 14u);
-}
-
-TEST(Pareto, PruneWithEmptyFrontKeepsEverything) {
-  const auto kept = prune_dominated({}, {{1.0, 1.0, 0}, {2.0, 2.0, 1}});
-  EXPECT_EQ(kept.size(), 2u);
-}
-
-TEST(Pareto, PruneToleratesUnsortedDominatedFrontInput) {
-  // Callers may pass any point set as "front"; the dominated subset is
-  // re-derived internally.
-  const std::vector<CostPoint> messy = {
-      {5.0, 5.0, 0}, {2.0, 1.0, 1}, {1.0, 3.0, 2}, {2.5, 2.5, 3}};
-  const auto kept = prune_dominated(messy, {{3.0, 3.0, 7}, {0.5, 0.5, 8}});
-  ASSERT_EQ(kept.size(), 1u);
-  EXPECT_EQ(kept[0].tag, 8u);
-}
-
 TEST(Timeline, CoreTimelinePaintsBusySegments) {
   std::vector<cpusim::TimelineSeg> segs = {
       {.core = 0, .start = 0.0, .end = 1.0, .task_type = 0},

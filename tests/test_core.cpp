@@ -366,11 +366,9 @@ TEST(DseEngine, RowRoundTripForEveryPresetAndTech) {
 }
 
 // A 2-app x 2-config plan small enough to sweep for real in tests.
-SweepOptions tiny_sweep(int shard_index = 0, int shard_count = 1) {
+SweepOptions tiny_sweep() {
   SweepOptions o;
   o.verbose = false;
-  o.shard_index = shard_index;
-  o.shard_count = shard_count;
   o.apps = {"hydro", "btmz"};
   MachineConfig narrow;
   narrow.cores = 4;
@@ -398,7 +396,7 @@ TEST(DseEngine, SweepJournalsAndResumesAfterKill) {
     EXPECT_EQ(fresh.results().size(), 4u);
   }
   ASSERT_TRUE(CsvDoc::file_exists(cache));
-  EXPECT_TRUE(find_journals(cache).empty());  // journal cleaned up
+  EXPECT_FALSE(CsvDoc::file_exists(cache + ".journal"));  // cleaned up
   const std::string reference = read_file(cache);
 
   // Simulate a kill -9 mid-sweep: no cache, a journal holding 2 of the 4
@@ -420,7 +418,7 @@ TEST(DseEngine, SweepJournalsAndResumesAfterKill) {
   EXPECT_EQ(rep.computed, 2u);  // only the missing points re-ran
   // The merged cache is byte-identical to the uninterrupted run.
   EXPECT_EQ(read_file(cache), reference);
-  EXPECT_TRUE(find_journals(cache).empty());
+  EXPECT_FALSE(CsvDoc::file_exists(cache + ".journal"));
   resumed.clear_cache();
 }
 
@@ -476,36 +474,6 @@ TEST(DseEngine, TruncatedCacheIsDetectedAndRepaired) {
     EXPECT_EQ(read_file(cache), reference);
     eng.clear_cache();
   }
-}
-
-TEST(DseEngine, ShardedJournalsMergeIntoSingleProcessResult) {
-  const std::string cache =
-      std::string(::testing::TempDir()) + "musa_dse_shard.csv";
-  Pipeline p(fast_options());
-  {
-    DseEngine fresh(p, cache, tiny_sweep());
-    fresh.clear_cache();
-    fresh.sweep();
-  }
-  const std::string reference = read_file(cache);
-  std::remove(cache.c_str());
-
-  DseEngine s0(p, cache, tiny_sweep(0, 2));
-  const SweepReport r0 = s0.sweep();
-  EXPECT_FALSE(r0.finalized);
-  EXPECT_EQ(r0.shard_points, 2u);
-  EXPECT_EQ(r0.computed, 2u);
-  EXPECT_THROW(s0.results(), SimError);  // siblings still missing
-  EXPECT_EQ(find_journals(cache).size(), 1u);
-
-  DseEngine s1(p, cache, tiny_sweep(1, 2));
-  const SweepReport r1 = s1.sweep();
-  EXPECT_TRUE(r1.finalized);  // last shard merges everything
-  EXPECT_EQ(r1.computed, 2u);
-  EXPECT_EQ(s1.results().size(), 4u);
-  EXPECT_EQ(read_file(cache), reference);
-  EXPECT_TRUE(find_journals(cache).empty());
-  s1.clear_cache();
 }
 
 TEST(DseEngine, PowerMetricsSkipUnknownDramPower) {
@@ -588,16 +556,6 @@ TEST(Pipeline, StageTimesAccumulatePerRun) {
   EXPECT_DOUBLE_EQ(other.kernel_s, 2 * st.kernel_s);
   p.reset_stage_times();
   EXPECT_EQ(p.stage_times().points, 0u);
-}
-
-TEST(DseEngine, RejectsInvalidShardSpec) {
-  Pipeline p(fast_options());
-  SweepOptions bad;
-  bad.shard_index = 2;
-  bad.shard_count = 2;
-  EXPECT_THROW(DseEngine(p, "x.csv", bad), SimError);
-  SweepOptions no_cache = tiny_sweep(0, 2);
-  EXPECT_THROW(DseEngine(p, "", no_cache), SimError);
 }
 
 TEST(DseEngine, RejectsStaleCacheSchema) {

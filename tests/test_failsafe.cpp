@@ -302,7 +302,7 @@ TEST(FailsafeSweep, QuarantinesExactlyThePredictedPoints) {
     EXPECT_EQ(rep.resumed, keys.size() - predicted.size());
   }
   EXPECT_EQ(read_file(cache), read_file(ref_cache));
-  EXPECT_TRUE(find_journals(cache).empty());
+  EXPECT_FALSE(CsvDoc::file_exists(cache + ".journal"));
 
   std::remove(cache.c_str());
   std::remove(ref_cache.c_str());
@@ -350,7 +350,7 @@ TEST(FailsafeSweep, IoFaultBeyondRetryBudgetQuarantinesWithAttemptCount) {
     EXPECT_EQ(q.attempts, opts.max_io_attempts);  // retried, then contained
   }
   std::remove(cache.c_str());
-  for (const auto& j : find_journals(cache)) std::remove(j.c_str());
+  std::remove((cache + ".journal").c_str());
 }
 
 TEST(FailsafeSweep, StrictModeRethrowsTheFirstFailure) {
@@ -371,7 +371,7 @@ TEST(FailsafeSweep, StrictModeRethrowsTheFirstFailure) {
     EXPECT_EQ(e.error_class(), ErrorClass::kInjected);
   }
   std::remove(cache.c_str());
-  for (const auto& j : find_journals(cache)) std::remove(j.c_str());
+  std::remove((cache + ".journal").c_str());
 }
 
 TEST(FailsafeSweep, InMemorySweepIsAlwaysFailFast) {

@@ -338,12 +338,11 @@ TEST(ObsExport, TraceEventJsonEscapesHostileKeys) {
   ev.dur_us = 7;
   ev.outcome = Outcome::kOk;
   set_event_key(ev, "app\"with\\quotes\tand\ncontrol\x01" "chars");
-  const std::string json = trace_event_json(ev, 1000, TraceMeta{3, "shard"});
+  const std::string json = trace_event_json(ev, 1000);
   EXPECT_TRUE(json_valid(json)) << json;
   EXPECT_NE(json.find("\\\"with\\\\quotes"), std::string::npos);
   EXPECT_NE(json.find("\\u0001"), std::string::npos);
   EXPECT_NE(json.find("\"ts\":1005"), std::string::npos);  // epoch applied
-  EXPECT_NE(json.find("\"pid\":3"), std::string::npos);
   EXPECT_NE(json.find("\"outcome\":\"ok\""), std::string::npos);
 }
 
@@ -359,7 +358,7 @@ TEST(ObsExport, ChromeTraceRoundTripIsValidAndOrdered) {
   ASSERT_EQ(events.size(), 4u);
 
   const std::string path = tmp_path("obs_roundtrip.trace.json");
-  write_chrome_trace(path, events, epoch, TraceMeta{1, "proc \"one\""});
+  write_chrome_trace(path, events, epoch, "proc \"one\"");
   const std::string body = slurp(path);
   EXPECT_TRUE(json_valid(body)) << body;
   EXPECT_NE(body.find("\"traceEvents\""), std::string::npos);
@@ -378,44 +377,6 @@ TEST(ObsExport, ChromeTraceRoundTripIsValidAndOrdered) {
   }
   EXPECT_EQ(seen, 4u);  // metadata carries no ts
   std::remove(path.c_str());
-}
-
-TEST(ObsExport, SidecarMergeSplicesAllShardsIntoOneTimeline) {
-  const std::string trace = tmp_path("obs_merge.trace.json");
-
-  // Shard 0 serialises its events to a sidecar (what a non-finalizing
-  // run_dse shard does)...
-  TraceEvent ev0;
-  ev0.name = "point";
-  ev0.ts_us = 10;
-  ev0.dur_us = 5;
-  set_event_key(ev0, "shard0-point");
-  const std::string sidecar = trace_sidecar_path(trace, 0, 2);
-  EXPECT_NE(sidecar.find("shard-0-of-2.events.jsonl"), std::string::npos);
-  write_trace_jsonl(sidecar, {ev0}, /*epoch_unix_us=*/1000,
-                    TraceMeta{0, "shard 0"});
-  const auto found = find_trace_sidecars(trace);
-  ASSERT_EQ(found.size(), 1u);
-  EXPECT_EQ(found[0], sidecar);
-
-  // ...and the finalizing shard merges it with its own events.
-  TraceEvent ev1;
-  ev1.name = "point";
-  ev1.ts_us = 20;
-  ev1.dur_us = 5;
-  set_event_key(ev1, "shard1-point");
-  write_chrome_trace(trace, {ev1}, /*epoch_unix_us=*/1000,
-                     TraceMeta{1, "shard 1"}, found);
-
-  const std::string body = slurp(trace);
-  EXPECT_TRUE(json_valid(body)) << body;
-  EXPECT_NE(body.find("shard0-point"), std::string::npos);
-  EXPECT_NE(body.find("shard1-point"), std::string::npos);
-  // Each shard keeps its own pid lane in the merged view.
-  EXPECT_NE(body.find("\"pid\":0"), std::string::npos);
-  EXPECT_NE(body.find("\"pid\":1"), std::string::npos);
-  std::remove(sidecar.c_str());
-  std::remove(trace.c_str());
 }
 
 TEST(ObsExport, MetricsJsonAndSummaryTableRenderSnapshot) {

@@ -18,7 +18,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/journal.hpp"
 #include "core/config_space.hpp"
 #include "core/dse.hpp"
 #include "core/pipeline.hpp"
@@ -56,7 +55,7 @@ serve::ServeOptions serve_options(const std::string& tag) {
   o.pipeline = fast_options();
   std::remove(o.cache_path.c_str());
   std::remove((o.cache_path + ".fp").c_str());
-  for (const auto& j : find_journals(o.cache_path)) std::remove(j.c_str());
+  std::remove((o.cache_path + ".journal").c_str());
   return o;
 }
 

@@ -18,6 +18,7 @@
 #include "core/pipeline.hpp"
 #include "verify/absdomain.hpp"
 #include "verify/config_rules.hpp"
+#include "verify/invariants.hpp"
 #include "verify/space_analysis.hpp"
 
 namespace {
@@ -205,32 +206,6 @@ TEST(SpaceAnalysis, SingletonBoxesAlwaysDecide) {
   }
 }
 
-TEST(SpaceAnalysis, MetricBoundsAreMonotoneInBoxInclusion) {
-  const SpaceAxes axes = SpaceAxes::extended();
-  const Box full = Box::full(axes);
-  const musa::verify::MetricBounds outer =
-      musa::verify::bound_metrics(axes, full);
-  std::mt19937 rng(99u);
-  for (int trial = 0; trial < 32; ++trial) {
-    Box box;
-    for (int d = 0; d < SpaceAxes::kDims; ++d) {
-      const int size = axes.dim_size(d);
-      std::uniform_int_distribution<int> begin_dist(0, size - 1);
-      box.begin[d] = begin_dist(rng);
-      std::uniform_int_distribution<int> end_dist(box.begin[d] + 1, size);
-      box.end[d] = end_dist(rng);
-    }
-    const musa::verify::MetricBounds inner =
-        musa::verify::bound_metrics(axes, box);
-    EXPECT_LE(inner.ipc_hi, outer.ipc_hi);
-    EXPECT_LE(inner.instr_per_s_hi, outer.instr_per_s_hi);
-    EXPECT_LE(inner.bw_gbps_hi, outer.bw_gbps_hi);
-    // The roofline lower bound is anti-monotone: a subset can only be
-    // slower-or-equal at its best corner.
-    EXPECT_GE(inner.min_time_s(1e12, 1e12), outer.min_time_s(1e12, 1e12));
-  }
-}
-
 /// Locates the committed sweep cache: tests run from the build tree, the
 /// cache lives at the repo root (or wherever MUSA_DSE_CACHE points).
 std::string find_cache() {
@@ -242,10 +217,9 @@ std::string find_cache() {
   return {};
 }
 
-// Monotone-bound property against real computed rows: every row of the
-// committed cache must sit under the static bounds of its singleton box —
-// the per-point result invariants, re-derived through the analyzer's
-// region-level lifting.
+// Every row of the committed cache must lie on the paper grid the analyzer
+// partitions, and must pass every result invariant (result.ipc-bound,
+// result.bandwidth, ...) that a freshly computed point is checked against.
 TEST(SpaceAnalysis, StaticBoundsHoldForCommittedCacheRows) {
   const std::string path = find_cache();
   if (path.empty()) GTEST_SKIP() << "committed dse_cache.csv not found";
@@ -279,16 +253,8 @@ TEST(SpaceAnalysis, StaticBoundsHoldForCommittedCacheRows) {
                             [](int i) { return i >= 0; }))
         << "cache row off the paper grid: " << r.config.id();
 
-    Box box;
-    for (int d = 0; d < SpaceAxes::kDims; ++d) {
-      box.begin[d] = idx[d];
-      box.end[d] = idx[d] + 1;
-    }
-    const musa::verify::MetricBounds b = musa::verify::bound_metrics(axes, box);
-    EXPECT_LE(r.ipc, b.ipc_hi * (1.0 + 1e-6)) << r.config.id();
-    // result.bandwidth grants the model 2% slack over the aggregate peak;
-    // the static bound inherits it.
-    EXPECT_LE(r.mem_gbps, b.bw_gbps_hi * 1.02 * (1.0 + 1e-6)) << r.config.id();
+    const auto violations = musa::verify::check_result(r);
+    EXPECT_TRUE(violations.empty()) << musa::verify::describe(violations);
     ++checked;
   }
   EXPECT_EQ(checked, doc.rows().size());

@@ -20,6 +20,7 @@
 #include "common/journal.hpp"
 #include "common/parallel.hpp"
 #include "core/dse.hpp"
+#include "verify/faultpoint.hpp"
 
 namespace musa::core {
 namespace {
@@ -152,40 +153,48 @@ TEST(StageMemo, SubSweepCacheIsByteIdenticalWithAndWithoutMemo) {
   std::remove(off_path.c_str());
 }
 
-TEST(StageMemo, ShardJournalRowsAreByteIdenticalWithAndWithoutMemo) {
-  // An unfinalized shard leaves its journal behind; the journalled row
-  // strings (what the cache is later assembled from) must not depend on
-  // memoization either. Rows are compared as key -> row maps because the
-  // append order depends on worker interleaving, which is not part of the
-  // byte-identity contract (the finalized cache is written in plan order).
-  const auto shard_rows = [&](bool memoize) {
+TEST(StageMemo, QuarantinedJournalRowsAreByteIdenticalWithAndWithoutMemo) {
+  // A sweep held back by quarantined points leaves its journal behind; the
+  // journalled row strings (what the cache is later assembled from) must
+  // not depend on memoization either. The injected fault is a pure function
+  // of the point key, so both runs quarantine the same points. Rows are
+  // compared as key -> row maps because the append order depends on worker
+  // interleaving, which is not part of the byte-identity contract (the
+  // finalized cache is written in plan order).
+  struct ClearFaults {
+    ~ClearFaults() { verify::FaultPlan::clear(); }
+  } clear_faults;
+  verify::FaultPlan::install(
+      verify::FaultPlan::parse("pipeline.power:injected:5:0.25"));
+  const auto journal_of = [&](bool memoize) {
     const std::string cache =
-        tmp_path(memoize ? "musa_memo_sh_on.csv" : "musa_memo_sh_off.csv");
-    SweepOptions o = sub_sweep(memoize);
-    o.shard_index = 0;
-    o.shard_count = 2;
+        tmp_path(memoize ? "musa_memo_q_on.csv" : "musa_memo_q_off.csv");
     Pipeline pipe(fast_options());
-    DseEngine dse(pipe, cache, o);
+    DseEngine dse(pipe, cache, sub_sweep(memoize));
     const SweepReport rep = dse.sweep(/*force=*/true);
     EXPECT_FALSE(rep.finalized);
-    EXPECT_EQ(rep.computed, rep.shard_points);
-    ResultJournal::LoadResult lr = ResultJournal::read(
-        cache + ".shard-0-of-2.journal", DseEngine::csv_header());
+    EXPECT_GT(rep.quarantined, 0u);
+    EXPECT_EQ(rep.computed + rep.quarantined, rep.total);
+    ResultJournal::LoadResult lr =
+        ResultJournal::read(cache + ".journal", DseEngine::csv_header());
     EXPECT_FALSE(lr.schema_mismatch);
     EXPECT_EQ(lr.dropped, 0u);
-    std::remove((cache + ".shard-0-of-2.journal").c_str());
-    return lr.entries;
+    dse.clear_cache();
+    return lr;
   };
 
-  const ResultJournal::Entries with_memo = shard_rows(true);
-  const ResultJournal::Entries without_memo = shard_rows(false);
-  ASSERT_EQ(with_memo.size(), without_memo.size());
-  ASSERT_GT(with_memo.size(), 0u);
-  for (const auto& [key, row] : with_memo) {
-    const auto it = without_memo.find(key);
-    ASSERT_NE(it, without_memo.end()) << "missing key: " << key;
+  const ResultJournal::LoadResult with_memo = journal_of(true);
+  const ResultJournal::LoadResult without_memo = journal_of(false);
+  ASSERT_EQ(with_memo.entries.size(), without_memo.entries.size());
+  ASSERT_GT(with_memo.entries.size(), 0u);
+  for (const auto& [key, row] : with_memo.entries) {
+    const auto it = without_memo.entries.find(key);
+    ASSERT_NE(it, without_memo.entries.end()) << "missing key: " << key;
     EXPECT_EQ(row, it->second) << "row differs for " << key;
   }
+  ASSERT_EQ(with_memo.fails.size(), without_memo.fails.size());
+  for (const auto& [key, fail] : with_memo.fails)
+    EXPECT_EQ(without_memo.fails.count(key), 1u) << "fail differs: " << key;
 }
 
 TEST(StageMemo, EightWorkersHammeringSharedMemoAgreeWithPlain) {

@@ -1,24 +1,22 @@
 #!/usr/bin/env python3
 """Summarise (and validate) a MUSA Chrome trace produced by run_dse.
 
-Loads a merged Chrome trace_event JSON (`run_dse --trace-out sweep.json`)
-or one or more raw `*.events.jsonl` shard sidecars, validates the event
-stream (well-formed JSON, required fields, non-negative durations,
-per-(pid, tid) monotone start timestamps), and prints:
+Loads a Chrome trace_event JSON (`run_dse --trace-out sweep.json`),
+validates the event stream (well-formed JSON, required fields, non-negative
+durations, per-(pid, tid) monotone start timestamps), and prints:
 
   * per-stage duration totals (burst / kernel / replay / power / point),
   * per-(pid, tid) worker lane occupancy over the trace's span,
   * outcome counts (ok / fail / quarantined / memo-hit / retry),
   * instant-event counts (quarantine / retry markers).
 
-CI's chaos leg uses `--expect-quarantines N` to assert the merged trace
-carries exactly one quarantine marker per injected fault: any mismatch
+CI's chaos leg uses `--expect-quarantines N` to assert the faulted run's
+trace carries exactly one quarantine marker per injected fault: any mismatch
 (or any validation error) exits 1.
 
 Usage:
   tools/trace_summary.py sweep.trace.json
   tools/trace_summary.py sweep.trace.json --expect-quarantines 3
-  tools/trace_summary.py shard-*.events.jsonl
 """
 import argparse
 import json
@@ -29,12 +27,9 @@ REQUIRED = ("name", "ph", "ts", "pid", "tid")
 
 
 def load_events(path):
-    """Return the list of event dicts in `path` (trace JSON or JSONL)."""
+    """Return the list of event dicts in the Chrome trace at `path`."""
     with open(path, encoding="utf-8") as f:
-        text = f.read()
-    if path.endswith(".jsonl"):
-        return [json.loads(line) for line in text.splitlines() if line]
-    doc = json.loads(text)
+        doc = json.load(f)
     if not isinstance(doc, dict) or "traceEvents" not in doc:
         raise ValueError(f"{path}: not a Chrome trace (no traceEvents)")
     return doc["traceEvents"]
@@ -63,8 +58,8 @@ def validate(events, errors):
         if ev["ph"] == COMPLETE and ev.get("dur", 0) < 0:
             errors.append(f"{where}: negative duration")
         lane = (ev["pid"], ev["tid"])
-        # Tracer::drain sorts by ts, and sidecars are wall-clock anchored:
-        # within one worker lane start times must never run backwards.
+        # Tracer::drain sorts by ts: within one worker lane start times
+        # must never run backwards.
         if ev["ph"] == COMPLETE:
             if lane in last_ts and ev["ts"] < last_ts[lane]:
                 errors.append(
@@ -108,7 +103,7 @@ def summarise(events):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("paths", nargs="+", help="trace JSON and/or JSONL files")
+    ap.add_argument("path", help="Chrome trace JSON written by run_dse")
     ap.add_argument(
         "--expect-quarantines",
         type=int,
@@ -118,18 +113,16 @@ def main():
     )
     args = ap.parse_args()
 
-    events, errors = [], []
-    for path in args.paths:
-        try:
-            events.extend(load_events(path))
-        except (OSError, ValueError, json.JSONDecodeError) as e:
-            print(f"ERROR: {e}", file=sys.stderr)
-            return 1
+    errors = []
+    try:
+        events = load_events(args.path)
+    except (OSError, ValueError) as e:
+        print(f"ERROR: {e}", file=sys.stderr)
+        return 1
     validate(events, errors)
     stages, lanes, outcomes, instants, span_us = summarise(events)
 
-    print(f"{len(events)} event(s) from {len(args.paths)} file(s), "
-          f"spanning {span_us / 1e6:.3f}s")
+    print(f"{len(events)} event(s) spanning {span_us / 1e6:.3f}s")
     if stages:
         print("per-stage totals:")
         for name in sorted(stages, key=lambda n: -stages[n][1]):
